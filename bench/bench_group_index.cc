@@ -9,9 +9,14 @@
 //   count_answer     a full count-query answer: observed O* + matched |S*|
 //                    (legacy: match list + per-group gather; flat: the
 //                    fused AnswerInto kernel, no match list)
-//   posting_*        the inverted GroupPostingIndex over the flat layout
-//                    (intersection-based matching; no legacy counterpart
-//                    since PR 2 — reported for the perf trajectory only)
+//   posting_*        the density-adaptive GroupPostingIndex filter over the
+//                    flat layout (bitmaps for frequent values, sorted id
+//                    arrays for rare ones): posting_match builds the match
+//                    list, posting_count sums O*, and posting_answer is the
+//                    fused O* + |S*| call the serving engine makes for every
+//                    uncached query (answers asserted equal to the flat
+//                    kernel's before timing). No legacy counterpart —
+//                    reported for the perf trajectory only.
 //
 // Datasets are the paper's two scales, synthesized: ADULT (45,222 records)
 // and CENSUS (300,000 records — the >=100k "serving-relevant" scale the
@@ -24,7 +29,9 @@
 //   {
 //     "schema": "bench_group_index/v1",
 //     "quick": false,
-//     "datasets": { "<name>": {"rows": R, "groups": G, "pool": Q} },
+//     "datasets": { "<name>": {"rows": R, "groups": G, "pool": Q,
+//         "posting_build_ms": B, "posting_dense_bytes": D,
+//         "posting_sparse_bytes": S} },
 //     "benchmarks": { "<dataset>/<op>/<layout>":
 //         {"ns_per_op": N, "throughput": T, "unit": "<ops>/s", "iters": I} },
 //     "speedups": { "<dataset>/<op>": legacy_ns / flat_ns }
@@ -108,7 +115,15 @@ struct Dataset {
 /// One dataset's results, keyed "<op>/<layout>".
 using Results = std::map<std::string, Measurement>;
 
-Results RunDataset(const Dataset& ds, double min_seconds) {
+/// Size and build cost of the GroupPostingIndex filter of one dataset.
+struct PostingFootprint {
+  double build_ms = 0.0;
+  size_t dense_bytes = 0;
+  size_t sparse_bytes = 0;
+};
+
+Results RunDataset(const Dataset& ds, double min_seconds,
+                   PostingFootprint* footprint) {
   Results out;
 
   // --- build ---------------------------------------------------------------
@@ -124,6 +139,13 @@ Results RunDataset(const Dataset& ds, double min_seconds) {
   const table::GroupIndex legacy = table::GroupIndex::Build(ds.table);
   const table::FlatGroupIndex flat = table::FlatGroupIndex::Build(ds.table);
   const table::GroupPostingIndex postings(flat);
+  footprint->build_ms =
+      Measure(1, min_seconds, [&] {
+        const table::GroupPostingIndex built(flat);
+        if (built.dense_bytes() + built.sparse_bytes() == 0) std::abort();
+      }).ns_per_op / 1e6;
+  footprint->dense_bytes = postings.dense_bytes();
+  footprint->sparse_bytes = postings.sparse_bytes();
 
   // --- scan_match: matching group ids per pool predicate -------------------
   uint64_t sink = 0;
@@ -183,6 +205,26 @@ Results RunDataset(const Dataset& ds, double min_seconds) {
   out["posting_count/flat"] = Measure(ds.pool.size(), min_seconds, [&] {
     for (const auto& q : ds.pool) {
       sink += postings.CountAnswer(q.na_predicate, q.sa_code);
+    }
+  });
+  // The serving engine's per-query call. Checked against the fused scan
+  // over the whole pool before it is timed.
+  for (const auto& q : ds.pool) {
+    uint64_t scan_observed = 0, scan_matched = 0;
+    flat.AnswerInto(q.na_predicate, q.sa_code, &scan_observed, &scan_matched);
+    uint64_t observed = 0, matched_size = 0;
+    postings.AnswerInto(q.na_predicate, q.sa_code, &observed, &matched_size);
+    if (observed != scan_observed || matched_size != scan_matched) {
+      std::cerr << "posting_answer mismatch on " << ds.name << "\n";
+      std::abort();
+    }
+  }
+  out["posting_answer/flat"] = Measure(ds.pool.size(), min_seconds, [&] {
+    for (const auto& q : ds.pool) {
+      uint64_t observed = 0, matched_size = 0;
+      postings.AnswerInto(q.na_predicate, q.sa_code, &observed,
+                          &matched_size);
+      sink += observed + matched_size;
     }
   });
 
@@ -329,13 +371,24 @@ int Run(int argc, char** argv) {
               << ds.pool.size() << "-query pool ("
               << (index.packed() ? "packed 64-bit keys" : "wide keys")
               << ")\n";
+    PostingFootprint footprint;
+    const Results results = RunDataset(ds, min_seconds, &footprint);
+    std::cout << "posting filter: built in "
+              << FormatDouble(footprint.build_ms, 3) << " ms, "
+              << FormatWithCommas(int64_t(footprint.dense_bytes))
+              << " B bitmaps + "
+              << FormatWithCommas(int64_t(footprint.sparse_bytes))
+              << " B id arrays\n";
     JsonValue meta = JsonValue::Object();
     meta.Set("rows", JsonValue::Int(int64_t(ds.table.num_rows())));
     meta.Set("groups", JsonValue::Int(int64_t(index.num_groups())));
     meta.Set("pool", JsonValue::Int(int64_t(ds.pool.size())));
+    meta.Set("posting_build_ms", JsonValue::Number(footprint.build_ms));
+    meta.Set("posting_dense_bytes",
+             JsonValue::Int(int64_t(footprint.dense_bytes)));
+    meta.Set("posting_sparse_bytes",
+             JsonValue::Int(int64_t(footprint.sparse_bytes)));
     json_datasets.Set(ds.name, std::move(meta));
-
-    const Results results = RunDataset(ds, min_seconds);
     exp::AsciiTable table(
         {"benchmark", "ns/op", "throughput", "unit", "iters"});
     for (const auto& [key, m] : results) {

@@ -22,13 +22,10 @@ Result<std::vector<CountQuery>> GenerateQueryPool(
     }
   }
 
-  // Posting-list index: candidate selectivity checks dominate pool
-  // generation on large raw indexes (tens of thousands of groups).
+  // Group filter: candidate selectivity checks dominate pool generation
+  // on large raw indexes (tens of thousands of groups).
   recpriv::table::GroupPostingIndex postings(raw_index);
   const double num_records = static_cast<double>(raw_index.num_records());
-  // One scratch for the whole generation loop — millions of selectivity
-  // checks reuse its buffers instead of allocating per candidate.
-  recpriv::table::AnswerScratch scratch;
 
   std::vector<CountQuery> pool;
   pool.reserve(config.pool_size);
@@ -54,7 +51,7 @@ Result<std::vector<CountQuery>> GenerateQueryPool(
         rng.NextUint64(schema.sa_domain_size()));
     const double selectivity =
         static_cast<double>(
-            postings.CountAnswer(q.na_predicate, q.sa_code, scratch)) /
+            postings.CountAnswer(q.na_predicate, q.sa_code)) /
         num_records;
     if (selectivity >= config.min_selectivity) {
       pool.push_back(std::move(q));

@@ -14,8 +14,6 @@ namespace recpriv::serve {
 
 using recpriv::analysis::ReleaseSnapshot;
 using recpriv::query::CountQuery;
-using recpriv::table::FlatGroupIndex;
-using recpriv::table::Predicate;
 
 namespace {
 
@@ -49,18 +47,6 @@ Answer MakeAnswer(const ReleaseSnapshot& snap, uint64_t observed,
   a.matched_size = matched_size;
   a.estimate = recpriv::perturb::MleCount(snap.up, observed, matched_size);
   return a;
-}
-
-/// NA-key match of one flat-indexed group, without touching rows.
-bool GroupMatches(const FlatGroupIndex& index, size_t gi,
-                  const Predicate& pred) {
-  const auto& pub = index.public_indices();
-  for (size_t k = 0; k < pub.size(); ++k) {
-    if (pred.is_bound(pub[k]) && pred.code(pub[k]) != index.na_code(gi, k)) {
-      return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace
@@ -181,72 +167,19 @@ Result<BatchResult> QueryEngine::AnswerValidatedBatch(
   result.cache_misses = batch.size() - result.cache_hits;
   if (miss.empty() && dups.empty()) return result;
 
-  EvalStrategy strategy = options_.strategy;
-  if (strategy == EvalStrategy::kAuto) {
-    // A posting pass costs ~(matched groups) per query; a group-shard pass
-    // costs one scan of all groups for the whole batch. Prefer the scan
-    // once the batch is a sizable fraction of the group count.
-    strategy = (miss.size() * 4 >= snap.index.num_groups())
-                   ? EvalStrategy::kGroupShard
-                   : EvalStrategy::kPostings;
-  }
-  result.strategy_used = strategy;
-
-  if (strategy == EvalStrategy::kPostings) {
-    pool_.ParallelFor(
-        0, miss.size(), pool_.GrainFor(miss.size()),
-        [&](size_t lo, size_t hi) {
-          // Scratch lives per chunk: reused across the chunk's queries,
-          // never shared between workers, and released when the chunk
-          // ends — the engine is the owner of its kernels' memory.
-          table::AnswerScratch scratch;
-          for (size_t k = lo; k < hi; ++k) {
-            const CountQuery& q = batch[miss[k]];
-            snap.postings->MatchingGroupsInto(q.na_predicate,
-                                              scratch.intersect,
-                                              scratch.groups);
-            uint64_t observed = 0;
-            uint64_t matched_size = 0;
-            for (uint32_t gi : scratch.groups) {
-              observed += snap.index.sa_count(gi, q.sa_code);
-              matched_size += snap.index.group_size(gi);
-            }
-            result.answers[miss[k]] = MakeAnswer(snap, observed, matched_size);
-          }
-        });
-  } else {
-    // Shard-by-group: every worker scans a contiguous shard of groups once
-    // for all uncached queries, then the per-shard partial sums reduce.
-    const size_t num_groups = snap.index.num_groups();
-    const size_t grain = pool_.GrainFor(num_groups, /*min_grain=*/64);
-    const size_t num_shards = num_groups == 0 ? 0 : (num_groups + grain - 1) / grain;
-    std::vector<std::vector<std::pair<uint64_t, uint64_t>>> partials(
-        num_shards);
-    pool_.ParallelFor(0, num_groups, grain, [&](size_t lo, size_t hi) {
-      auto& part = partials[lo / grain];  // chunks are grain-aligned
-      part.assign(miss.size(), {0, 0});
-      for (size_t gi = lo; gi < hi; ++gi) {
-        const uint64_t size = snap.index.group_size(gi);
-        for (size_t k = 0; k < miss.size(); ++k) {
+  // Each worker answers a slice of the misses, each one a fused
+  // match-and-sum on the snapshot's group filter: nothing to allocate.
+  pool_.ParallelFor(
+      0, miss.size(), pool_.GrainFor(miss.size()), [&](size_t lo, size_t hi) {
+        for (size_t k = lo; k < hi; ++k) {
           const CountQuery& q = batch[miss[k]];
-          if (GroupMatches(snap.index, gi, q.na_predicate)) {
-            part[k].first += snap.index.sa_count(gi, q.sa_code);
-            part[k].second += size;
-          }
+          uint64_t observed = 0;
+          uint64_t matched_size = 0;
+          snap.postings->AnswerInto(q.na_predicate, q.sa_code, &observed,
+                                    &matched_size);
+          result.answers[miss[k]] = MakeAnswer(snap, observed, matched_size);
         }
-      }
-    });
-    for (size_t k = 0; k < miss.size(); ++k) {
-      uint64_t observed = 0;
-      uint64_t matched_size = 0;
-      for (const auto& part : partials) {
-        if (part.empty()) continue;  // shard never ran (empty range)
-        observed += part[k].first;
-        matched_size += part[k].second;
-      }
-      result.answers[miss[k]] = MakeAnswer(snap, observed, matched_size);
-    }
-  }
+      });
 
   for (const auto& [dup, original] : dups) {
     result.answers[dup] = result.answers[original];

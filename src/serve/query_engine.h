@@ -10,23 +10,20 @@
 // own manifest parameters (p, m). Consumers never see raw data — only the
 // already-perturbed release — so the engine adds no privacy surface.
 //
-// Batches are evaluated in parallel on a work-stealing pool with one of two
-// strategies, chosen per batch:
+// Batches are evaluated on a work-stealing pool, a slice of the batch's
+// uncached queries per worker. Each query is answered by one fused
+// match-and-sum over the snapshot's density-adaptive group filter
+// (table::GroupPostingIndex::AnswerInto): dense attribute values are
+// bitmaps ANDed word by word, sparse ones sorted id arrays whose groups are
+// checked against the predicate's packed key, and O* and |S*| are summed
+// in place — no match list, no per-query scratch. It is the one evaluation
+// path: a group-shard scan that answered a whole batch in one pass over
+// all groups was slower at every measured batch size (1 to 5,000 queries,
+// ADULT and CENSUS).
 //
-//  * per-query postings: each worker takes a slice of the batch and
-//    answers its queries by posting-list intersection with reused scratch
-//    buffers. Wins when predicates are selective (the common case: the
-//    paper's pools have dimensionality 1-3).
-//  * shard-by-group: the release's groups are split into contiguous
-//    shards; each worker scans its shard once, accumulating partial
-//    (O*, |S*|) sums for every query of the batch, and the partials are
-//    reduced at the end. Wins when the batch is large relative to the
-//    number of groups or predicates are mostly unselective (posting
-//    intersection would touch nearly every group per query anyway).
-//
-// Answers are memoized in an LRU cache keyed by (release name, epoch,
-// canonical query bytes) — see serve/answer_cache.h for the invalidation
-// story on republish.
+// Answers are memoized in an LRU cache keyed by (release name, snapshot
+// content digest, canonical query bytes) — see serve/answer_cache.h for the
+// invalidation story on republish.
 
 #pragma once
 
@@ -59,17 +56,15 @@ inline bool DeadlineExpired(const Deadline& deadline) {
          std::chrono::steady_clock::now() >= *deadline;
 }
 
-/// How a batch's uncached queries are evaluated.
+/// How a batch's uncached queries were evaluated — reported in
+/// BatchResult for diagnostics. There is one path.
 enum class EvalStrategy {
-  kAuto,       ///< pick per batch: shard-by-group when batch >= groups/4
-  kPostings,   ///< per-query posting-list intersection
-  kGroupShard  ///< one pass over group shards, all queries at once
+  kPostings  ///< per-query fused match-and-sum on the group filter
 };
 
 struct QueryEngineOptions {
   size_t num_threads = 0;       ///< 0 = hardware concurrency
   size_t cache_capacity = 1 << 16;  ///< LRU entries; 0 disables caching
-  EvalStrategy strategy = EvalStrategy::kAuto;
   /// Micro-batching scheduler (serve/micro_batcher.h): same-snapshot
   /// submissions arriving within this window are fused into one batch
   /// evaluation. 0 disables the scheduler (AnswerBatchScheduled degrades

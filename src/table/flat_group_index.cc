@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <iterator>
 #include <numeric>
 #include <utility>
 
@@ -576,101 +575,226 @@ void FlatGroupIndex::AnswerInto(const Predicate& pred, uint32_t sa,
   fused.sa = sa;
   fused.bound = scratch.bound;
   if (packed_) {
-    // Equivalent packed-key spelling of the same match: attribute k's
-    // code sits in its own bit field, so the bound compare collapses to
-    // one masked 64-bit equality per group over the contiguous sorted
-    // keys (the layout Build sorted by).
-    uint64_t mask = 0, want = 0;
-    bool fits = true;
-    for (const auto& [k, code] : scratch.bound) {
-      const uint32_t bits = key_bits_[k];
-      const uint64_t field =
-          bits >= 64 ? ~uint64_t(0) : (uint64_t(1) << bits) - 1;
-      if (uint64_t(code) > field) {
-        // The code overflows its field, so no group's key can carry it:
-        // the zero-initialized outputs are already the answer.
-        fits = false;
-        break;
-      }
-      mask |= field << key_shifts_[k];
-      want |= uint64_t(code) << key_shifts_[k];
+    // Equivalent packed-key spelling of the same match: one masked 64-bit
+    // equality per group over the contiguous sorted keys (the layout
+    // Build sorted by). A code that overflows its field matches no group:
+    // the zero-initialized outputs are already the answer.
+    if (!PackedMatchMask(pred, &fused.packed_mask, &fused.packed_want)) {
+      return;
     }
-    if (!fits) return;
     fused.packed_keys = packed_keys_;
-    fused.packed_mask = mask;
-    fused.packed_want = want;
   }
   simd::FusedCountSums(fused, observed, matched_size);
+}
+
+bool FlatGroupIndex::PackedMatchMask(const Predicate& pred, uint64_t* mask,
+                                     uint64_t* want) const {
+  RECPRIV_DCHECK(packed_);
+  uint64_t m = 0, w = 0;
+  for (size_t k = 0; k < public_idx_.size(); ++k) {
+    if (!pred.is_bound(public_idx_[k])) continue;
+    const uint64_t code = pred.code(public_idx_[k]);
+    const uint32_t bits = key_bits_[k];
+    // A zero-width field (single-value domain) holds only code 0 and adds
+    // nothing to the mask; its shift may be 64, so it is never shifted.
+    if (bits == 0) {
+      if (code != 0) return false;
+      continue;
+    }
+    const uint64_t field =
+        bits >= 64 ? ~uint64_t(0) : (uint64_t(1) << bits) - 1;
+    if (code > field) return false;
+    m |= field << key_shifts_[k];
+    w |= code << key_shifts_[k];
+  }
+  *mask = m;
+  *want = w;
+  return true;
 }
 
 GroupPostingIndex::GroupPostingIndex(const FlatGroupIndex& index)
     : index_(&index) {
   const auto& pub = index.public_indices();
-  postings_.resize(pub.size());
-  for (size_t k = 0; k < pub.size(); ++k) {
-    postings_[k].resize(index.schema()->attribute(pub[k]).domain.size());
+  const size_t n_pub = pub.size();
+  const size_t num_groups = index.num_groups();
+  words_ = (num_groups + 63) / 64;
+  first_entry_.assign(n_pub + 1, 0);
+  for (size_t k = 0; k < n_pub; ++k) {
+    first_entry_[k + 1] =
+        first_entry_[k] + index.schema()->attribute(pub[k]).domain.size();
   }
-  for (size_t gi = 0; gi < index.num_groups(); ++gi) {
-    for (size_t k = 0; k < pub.size(); ++k) {
-      postings_[k][index.na_code(gi, k)].push_back(uint32_t(gi));
+  entries_.resize(first_entry_[n_pub]);
+
+  // Counting pass: how many groups carry each (attribute, value).
+  const uint32_t* codes = index.storage().na_codes.data();
+  for (size_t g = 0; g < num_groups; ++g) {
+    const uint32_t* key = codes + g * n_pub;
+    for (size_t k = 0; k < n_pub; ++k) {
+      ++entries_[first_entry_[k] + key[k]].count;
+    }
+  }
+  // Pick each value's form and lay the containers out back to back.
+  uint64_t dense_words = 0, sparse_ids = 0;
+  for (Entry& e : entries_) {
+    e.dense = e.count > 0 && uint64_t(e.count) * 32 >= num_groups;
+    if (e.dense) {
+      e.begin = dense_words;
+      dense_words += words_;
+    } else {
+      e.begin = sparse_ids;
+      sparse_ids += e.count;
+    }
+  }
+  bitmaps_.assign(size_t(dense_words), 0);
+  ids_.resize(size_t(sparse_ids));
+
+  // Fill pass: each value's bitmap, or its next free id slot. Group ids
+  // ascend, so every id array comes out sorted.
+  std::vector<uint64_t*> bitmap_of(entries_.size(), nullptr);
+  std::vector<uint32_t*> next_id(entries_.size(), nullptr);
+  for (size_t i = 0; i < entries_.size(); ++i) {
+    if (entries_[i].dense) {
+      bitmap_of[i] = bitmaps_.data() + entries_[i].begin;
+    } else {
+      next_id[i] = ids_.data() + entries_[i].begin;
+    }
+  }
+  for (size_t g = 0; g < num_groups; ++g) {
+    const uint32_t* key = codes + g * n_pub;
+    for (size_t k = 0; k < n_pub; ++k) {
+      const size_t slot = first_entry_[k] + key[k];
+      if (bitmap_of[slot] != nullptr) {
+        bitmap_of[slot][g / 64] |= uint64_t(1) << (g % 64);
+      } else {
+        *next_id[slot]++ = uint32_t(g);
+      }
+    }
+  }
+}
+
+const GroupPostingIndex::Entry* GroupPostingIndex::BoundEntry(
+    const Predicate& pred, size_t k) const {
+  const uint32_t code = pred.code(index_->public_indices()[k]);
+  if (code >= first_entry_[k + 1] - first_entry_[k]) return nullptr;
+  return &entries_[first_entry_[k] + code];
+}
+
+template <class Visit>
+void GroupPostingIndex::ForEachMatch(const Predicate& pred,
+                                     Visit&& visit) const {
+  RECPRIV_CHECK(pred.num_attributes() ==
+                index_->schema()->num_attributes())
+      << "predicate arity mismatch";
+  const auto& pub = index_->public_indices();
+  const size_t n_pub = pub.size();
+  const Entry* sparsest = nullptr;  // smallest bound sparse value
+  const Entry* first_dense = nullptr;
+  for (size_t k = 0; k < n_pub; ++k) {
+    if (!pred.is_bound(pub[k])) continue;
+    const Entry* e = BoundEntry(pred, k);
+    if (e == nullptr) return;  // outside the domain: no group carries it
+    if (e->dense) {
+      if (first_dense == nullptr) first_dense = e;
+    } else if (sparsest == nullptr || e->count < sparsest->count) {
+      sparsest = e;
+    }
+  }
+
+  if (sparsest != nullptr) {
+    // Candidates are the sparsest bound value's groups; each must match
+    // every other bound attribute too.
+    const std::span<const uint32_t> ids(ids_.data() + sparsest->begin,
+                                        sparsest->count);
+    if (index_->packed()) {
+      uint64_t mask = 0, want = 0;
+      // Cannot fail: every bound code lies inside its domain, so it fits
+      // its attribute's bit field.
+      const bool fits = index_->PackedMatchMask(pred, &mask, &want);
+      RECPRIV_DCHECK(fits);
+      (void)fits;
+      const uint64_t* keys = index_->packed_keys().data();
+      for (const uint32_t g : ids) {
+        if ((keys[g] & mask) == want) visit(g);
+      }
+    } else {
+      for (const uint32_t g : ids) {
+        bool match = true;
+        for (size_t k = 0; k < n_pub && match; ++k) {
+          match = !pred.is_bound(pub[k]) ||
+                  index_->na_code(g, k) == pred.code(pub[k]);
+        }
+        if (match) visit(g);
+      }
+    }
+    return;
+  }
+
+  if (first_dense == nullptr) {  // unbound: every group matches
+    for (size_t g = 0; g < index_->num_groups(); ++g) visit(uint32_t(g));
+    return;
+  }
+
+  // Every bound value is dense: AND the bitmaps a block of words at a time
+  // (the block stays in L1) and walk the surviving bits. Bits past
+  // num_groups are never set, so the tail word needs no mask.
+  constexpr size_t kBlockWords = 64;
+  uint64_t block[kBlockWords];
+  for (size_t w0 = 0; w0 < words_; w0 += kBlockWords) {
+    const size_t n = std::min(kBlockWords, words_ - w0);
+    const uint64_t* first = bitmaps_.data() + first_dense->begin + w0;
+    std::copy(first, first + n, block);
+    for (size_t k = 0; k < n_pub; ++k) {
+      if (!pred.is_bound(pub[k])) continue;
+      const Entry* e = BoundEntry(pred, k);
+      if (e == first_dense) continue;
+      const uint64_t* words = bitmaps_.data() + e->begin + w0;
+      for (size_t i = 0; i < n; ++i) block[i] &= words[i];
+    }
+    for (size_t i = 0; i < n; ++i) {
+      for (uint64_t bits = block[i]; bits != 0; bits &= bits - 1) {
+        visit(uint32_t((w0 + i) * 64 + size_t(std::countr_zero(bits))));
+      }
     }
   }
 }
 
 std::vector<uint32_t> GroupPostingIndex::MatchingGroups(
     const Predicate& pred) const {
-  std::vector<uint32_t> scratch;
   std::vector<uint32_t> out;
-  MatchingGroupsInto(pred, scratch, out);
+  MatchingGroupsInto(pred, out);
   return out;
 }
 
 void GroupPostingIndex::MatchingGroupsInto(const Predicate& pred,
-                                           std::vector<uint32_t>& scratch,
                                            std::vector<uint32_t>& out) const {
   out.clear();
-  const auto& pub = index_->public_indices();
-  // Collect the posting lists of the bound conditions, smallest first.
-  std::vector<const std::vector<uint32_t>*> lists;
-  for (size_t k = 0; k < pub.size(); ++k) {
-    if (pred.is_bound(pub[k])) {
-      const uint32_t code = pred.code(pub[k]);
-      if (code >= postings_[k].size()) return;
-      lists.push_back(&postings_[k][code]);
-    }
-  }
-  if (lists.empty()) {
-    out.resize(index_->num_groups());
-    for (size_t gi = 0; gi < out.size(); ++gi) {
-      out[gi] = static_cast<uint32_t>(gi);
-    }
-    return;
-  }
-  std::sort(lists.begin(), lists.end(),
-            [](const auto* a, const auto* b) { return a->size() < b->size(); });
-  out.assign(lists[0]->begin(), lists[0]->end());
-  for (size_t li = 1; li < lists.size() && !out.empty(); ++li) {
-    scratch.clear();
-    std::set_intersection(out.begin(), out.end(), lists[li]->begin(),
-                          lists[li]->end(), std::back_inserter(scratch));
-    std::swap(out, scratch);
-  }
+  ForEachMatch(pred, [&out](uint32_t g) { out.push_back(g); });
+}
+
+void GroupPostingIndex::MatchingGroupsInto(const Predicate& pred,
+                                           std::vector<uint32_t>& /*scratch*/,
+                                           std::vector<uint32_t>& out) const {
+  MatchingGroupsInto(pred, out);
 }
 
 uint64_t GroupPostingIndex::CountAnswer(const Predicate& pred,
                                         uint32_t sa) const {
-  return CountAnswer(pred, sa, SharedScratch());
+  uint64_t observed = 0, matched_size = 0;
+  AnswerInto(pred, sa, &observed, &matched_size);
+  return observed;
 }
 
-uint64_t GroupPostingIndex::CountAnswer(const Predicate& pred, uint32_t sa,
-                                        AnswerScratch& scratch) const {
-  // Pool generation makes millions of these calls; the threaded scratch
-  // keeps them allocation-free after warmup without a per-kernel
-  // thread_local.
-  MatchingGroupsInto(pred, scratch.intersect, scratch.groups);
-  uint64_t ans = 0;
-  for (const uint32_t gi : scratch.groups) ans += index_->sa_count(gi, sa);
-  return ans;
+void GroupPostingIndex::AnswerInto(const Predicate& pred, uint32_t sa,
+                                   uint64_t* observed,
+                                   uint64_t* matched_size) const {
+  RECPRIV_DCHECK(sa < index_->sa_domain());
+  uint64_t obs = 0, size = 0;
+  ForEachMatch(pred, [&](uint32_t g) {
+    obs += index_->sa_count(g, sa);
+    size += index_->group_size(g);
+  });
+  *observed = obs;
+  *matched_size = size;
 }
 
 }  // namespace recpriv::table

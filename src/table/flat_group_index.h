@@ -39,21 +39,21 @@
 
 namespace recpriv::table {
 
-/// Reusable per-call scratch for the count-answer kernels. Previously each
-/// kernel kept its own `static thread_local` vectors, which were duplicated
-/// per kernel and never shrank; callers on a hot path now own one of these
-/// and thread it through, so every kernel (scalar and SIMD) shares one
-/// audited scratch path and the owner controls the memory's lifetime.
-/// Cold callers may use the zero-argument kernel overloads, which route
-/// through a single shared thread-local instance.
+/// Reusable per-call scratch for the FlatGroupIndex kernels. Callers on a
+/// hot path own one and thread it through, so every kernel (scalar and
+/// SIMD) shares one audited scratch path and the owner controls the
+/// memory's lifetime. Cold callers may use the zero-argument kernel
+/// overloads, which route through a single shared thread-local instance.
+/// GroupPostingIndex needs none of it.
 struct AnswerScratch {
   /// Bound (key column, code) pairs of the current predicate.
   std::vector<std::pair<uint32_t, uint32_t>> bound;
   /// NA-key probe buffer for the fully-bound binary-search fast path.
   std::vector<uint32_t> key;
-  /// Matching group ids (GroupPostingIndex::CountAnswer).
+  /// A caller-owned match list, e.g. for MatchingGroupsInto.
   std::vector<uint32_t> groups;
-  /// Ping-pong space for posting-list intersection.
+  /// Unused by every kernel; kept for callers written against the
+  /// intersection-based GroupPostingIndex.
   std::vector<uint32_t> intersect;
 
   /// Returns all capacity to the allocator — for owners that batch bursts
@@ -162,6 +162,15 @@ class FlatGroupIndex {
   double AverageGroupSize() const;
   /// True when the packed-key fast path was taken.
   bool packed() const { return packed_; }
+  /// Sorted packed NA keys, one per group (empty unless packed()).
+  std::span<const uint64_t> packed_keys() const { return packed_keys_; }
+
+  /// Packed-key spelling of `pred`'s NA conditions: group g matches iff
+  /// (packed_keys()[g] & *mask) == *want. Returns false — no group can
+  /// match — when a bound code overflows its attribute's bit field.
+  /// Requires packed().
+  bool PackedMatchMask(const Predicate& pred, uint64_t* mask,
+                       uint64_t* want) const;
 
   /// NA key of group `g`, in schema public-index order.
   std::span<const uint32_t> na_codes(size_t g) const {
@@ -275,37 +284,90 @@ class FlatGroupIndex {
   std::span<const uint32_t> row_values_;   // num_records, group-major
 };
 
-/// Inverted index over a FlatGroupIndex: for each (public attribute, value),
-/// the sorted list of group ids carrying that value. Speeds up group
-/// matching for low-dimensionality predicates from O(|G|) to the size of
-/// the smallest posting list (used by query-pool generation, where millions
-/// of candidate selectivity checks are made, and by the serving engine's
-/// per-query strategy).
+/// Density-adaptive group filter over a FlatGroupIndex: for each (public
+/// attribute, value), the groups carrying that value, stored in whichever
+/// form is smaller. A value held by at least num_groups/32 groups is a
+/// num_groups-bit bitmap (num_groups/8 bytes, no more than its id array
+/// would take, up to the padding of the last word); any other value is a
+/// sorted group-id array. The rule reads only the index, so there is no
+/// knob. Roaring bitmaps make the same dense/sparse container split
+/// (Chambi et al., arXiv:1402.6407).
+///
+/// A query finds its groups in one of three ways:
+///  * some bound value is sparse: walk the smallest such array and keep a
+///    candidate iff its NA key matches every bound attribute — one masked
+///    64-bit compare on packed keys, a per-column compare on wide keys;
+///  * every bound value is dense: AND their bitmaps word by word and walk
+///    the set bits;
+///  * nothing is bound: every group matches.
+/// AnswerInto sums O* and |S*| as it finds them — no match list, no
+/// scratch. It is how the serving engine answers every uncached query;
+/// pool generation and benches use the same filter through
+/// MatchingGroupsInto and CountAnswer.
 class GroupPostingIndex {
  public:
+  /// Builds in a counting pass and a fill pass over the NA-key column.
+  /// Reads `index` by reference: it must outlive this object.
   explicit GroupPostingIndex(const FlatGroupIndex& index);
 
-  /// Same contract as FlatGroupIndex::MatchingGroups, computed by
-  /// posting-list intersection. An unbound predicate returns all group ids.
+  /// Same contract as FlatGroupIndex::MatchingGroups. An unbound predicate
+  /// returns all group ids.
   std::vector<uint32_t> MatchingGroups(const Predicate& pred) const;
 
-  /// Allocation-free variant for batched evaluation: `out` receives the
-  /// matching group ids (cleared first) and `scratch` is ping-pong space
-  /// for the intersection; both retain capacity across calls.
+  /// Fills `out` (cleared first) with the matching group ids, ascending;
+  /// `out` keeps its capacity across calls.
+  void MatchingGroupsInto(const Predicate& pred,
+                          std::vector<uint32_t>& out) const;
+  /// As above. `scratch` is unused — the filter needs no working space —
+  /// and the overload remains for callers written against the
+  /// intersection-based index.
   void MatchingGroupsInto(const Predicate& pred, std::vector<uint32_t>& scratch,
                           std::vector<uint32_t>& out) const;
 
   /// Sum of sa_counts[sa] over matching groups (a count-query answer).
-  /// The scratch-threaded overload allocates nothing after warmup; the
-  /// scratch-less one reuses the shared thread-local scratch.
   uint64_t CountAnswer(const Predicate& pred, uint32_t sa) const;
-  uint64_t CountAnswer(const Predicate& pred, uint32_t sa,
-                       AnswerScratch& scratch) const;
+
+  /// Fused count-query answer: O* = sum of sa_counts[sa] and |S*| = sum of
+  /// group sizes over the matching groups, bit-identical to
+  /// FlatGroupIndex::AnswerInto (integer sums only).
+  void AnswerInto(const Predicate& pred, uint32_t sa, uint64_t* observed,
+                  uint64_t* matched_size) const;
+
+  /// True when the groups carrying `code` on the k-th public attribute are
+  /// stored as a bitmap. Requires `code` inside the attribute's domain.
+  bool IsDense(size_t k, uint32_t code) const {
+    return entries_[first_entry_[k] + code].dense;
+  }
+  /// Bytes held by the bitmaps and by the sorted id arrays.
+  size_t dense_bytes() const { return bitmaps_.size() * sizeof(uint64_t); }
+  size_t sparse_bytes() const { return ids_.size() * sizeof(uint32_t); }
 
  private:
+  /// The groups carrying one (attribute, value): `count` of them, in the
+  /// bitmap starting at word `begin` of bitmaps_ when `dense`, else in
+  /// ids_[begin, begin + count).
+  struct Entry {
+    uint64_t begin = 0;
+    uint32_t count = 0;
+    bool dense = false;
+  };
+
+  /// Entry of `pred`'s bound code on the k-th public attribute; nullptr
+  /// when the code lies outside the attribute's domain (no group has it).
+  const Entry* BoundEntry(const Predicate& pred, size_t k) const;
+
+  /// Calls `visit(group id)` for each group matching `pred`, ascending.
+  template <class Visit>
+  void ForEachMatch(const Predicate& pred, Visit&& visit) const;
+
   const FlatGroupIndex* index_;
-  /// postings_[k][v] = group ids with value v on the k-th public attribute.
-  std::vector<std::vector<std::vector<uint32_t>>> postings_;
+  size_t words_ = 0;  ///< 64-bit words per bitmap: ceil(num_groups / 64)
+  /// entries_[first_entry_[k] + v] describes value v of public attribute
+  /// k; first_entry_ has num_public + 1 prefix offsets.
+  std::vector<size_t> first_entry_;
+  std::vector<Entry> entries_;
+  std::vector<uint64_t> bitmaps_;  ///< dense values, words_ words each
+  std::vector<uint32_t> ids_;      ///< sparse values, ascending ids each
 };
 
 }  // namespace recpriv::table

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -254,6 +255,233 @@ TEST(GroupPostingIndexTest, CountAnswerMatchesFusedKernel) {
     }
     const uint32_t sa = uint32_t(rng.NextUint64(3));
     EXPECT_EQ(postings.CountAnswer(pred, sa), flat.CountAnswer(pred, sa));
+  }
+}
+
+// --- GroupPostingIndex differential suite ----------------------------------
+//
+// The density-adaptive filter must answer exactly as the fused scan of the
+// flat index does: same match list, same O* and |S*|, through every entry
+// point, on packed and wide keys, for every way a query can resolve
+// (unbound, all bound values dense, all sparse, mixed, a code outside its
+// domain, a value no group carries).
+
+/// How the filter resolves `pred` (in-domain codes only classify).
+enum class QueryKind { kUnbound, kAllDense, kAllSparse, kMixed, kNoMatch };
+
+QueryKind Classify(const FlatGroupIndex& flat, const GroupPostingIndex& filter,
+                   const Predicate& pred) {
+  const Schema& schema = *flat.schema();
+  const auto& pub = flat.public_indices();
+  size_t dense = 0, sparse = 0;
+  for (size_t k = 0; k < pub.size(); ++k) {
+    if (!pred.is_bound(pub[k])) continue;
+    const uint32_t code = pred.code(pub[k]);
+    if (code >= schema.attribute(pub[k]).domain.size()) {
+      return QueryKind::kNoMatch;
+    }
+    ++(filter.IsDense(k, code) ? dense : sparse);
+  }
+  if (dense + sparse == 0) return QueryKind::kUnbound;
+  if (sparse == 0) return QueryKind::kAllDense;
+  return dense == 0 ? QueryKind::kAllSparse : QueryKind::kMixed;
+}
+
+/// Every GroupPostingIndex entry point against the flat index's scan.
+void ExpectFilterAgrees(const FlatGroupIndex& flat,
+                        const GroupPostingIndex& filter, const Predicate& pred,
+                        uint32_t sa) {
+  const std::vector<uint32_t> want = flat.MatchingGroups(pred);
+  EXPECT_EQ(filter.MatchingGroups(pred), want);
+  std::vector<uint32_t> out = {7, 7, 7};  // stale contents must be cleared
+  filter.MatchingGroupsInto(pred, out);
+  EXPECT_EQ(out, want);
+  std::vector<uint32_t> unused;
+  filter.MatchingGroupsInto(pred, unused, out);
+  EXPECT_EQ(out, want);
+
+  uint64_t observed = 0, matched = 0;
+  flat.AnswerInto(pred, sa, &observed, &matched);
+  uint64_t filter_observed = 1, filter_matched = 1;
+  filter.AnswerInto(pred, sa, &filter_observed, &filter_matched);
+  EXPECT_EQ(filter_observed, observed);
+  EXPECT_EQ(filter_matched, matched);
+  EXPECT_EQ(filter.CountAnswer(pred, sa), observed);
+}
+
+/// A table whose value frequencies are skewed, so one attribute carries
+/// both bitmap (frequent) and array (rare) values, and whose top code is
+/// never drawn, so some values have no group at all.
+Table SkewedTable(const SchemaPtr& schema, size_t rows, Rng& rng) {
+  Table t(schema);
+  std::vector<uint32_t> codes(schema->num_attributes());
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t a = 0; a < schema->num_attributes(); ++a) {
+      const uint64_t dom = schema->attribute(a).domain.size();
+      const uint64_t drawn = dom >= 3 ? dom - 1 : dom;
+      codes[a] = rng.NextUint64(2) == 0 ? 0u : uint32_t(rng.NextUint64(drawn));
+    }
+    t.AppendRowUnchecked(codes);
+  }
+  return t;
+}
+
+TEST(GroupPostingIndexTest, AgreesWithFlatScanAcrossRandomSchemas) {
+  Rng rng(20150407);
+  std::map<QueryKind, size_t> seen;
+  bool saw_tail_word = false;
+  for (int round = 0; round < 16; ++round) {
+    const size_t n_pub = 1 + rng.NextUint64(5);
+    std::vector<size_t> domains;
+    for (size_t a = 0; a < n_pub; ++a) {
+      // Domain 1 (a zero-width key field), small (dense values) and large
+      // (mostly sparse values) domains.
+      const uint64_t pick = rng.NextUint64(4);
+      domains.push_back(pick == 0   ? 1
+                        : pick == 1 ? 2 + rng.NextUint64(3)
+                                    : 20 + rng.NextUint64(120));
+    }
+    const size_t m = 2 + rng.NextUint64(5);
+    SchemaPtr schema = MakeSchema(domains, m);
+    Table t = SkewedTable(schema, rng.NextUint64(4000), rng);
+    for (auto mode : {FlatGroupIndex::KeyMode::kAuto,
+                      FlatGroupIndex::KeyMode::kForceWide}) {
+      SCOPED_TRACE("round " + std::to_string(round) +
+                   (mode == FlatGroupIndex::KeyMode::kAuto ? " auto"
+                                                           : " forced-wide"));
+      const FlatGroupIndex flat = FlatGroupIndex::Build(t, mode);
+      const GroupPostingIndex filter(flat);
+      saw_tail_word |= flat.num_groups() > 64 && flat.num_groups() % 64 != 0;
+      for (int trial = 0; trial < 120; ++trial) {
+        Predicate pred(schema->num_attributes());
+        for (size_t attr = 0; attr < n_pub; ++attr) {
+          if (rng.NextUint64(2) == 0) continue;  // wildcard
+          const uint64_t dom = domains[attr];
+          switch (rng.NextUint64(8)) {
+            case 0:  // outside the domain: matches nothing
+              pred.Bind(attr, uint32_t(dom + rng.NextUint64(5)));
+              break;
+            case 1:  // the undrawn top code: often a value with no group
+              pred.Bind(attr, uint32_t(dom - 1));
+              break;
+            case 2:
+            case 3:  // the frequent code
+              pred.Bind(attr, 0);
+              break;
+            default:
+              pred.Bind(attr, uint32_t(rng.NextUint64(dom)));
+          }
+        }
+        ++seen[Classify(flat, filter, pred)];
+        ExpectFilterAgrees(flat, filter, pred, uint32_t(rng.NextUint64(m)));
+      }
+    }
+  }
+  EXPECT_TRUE(saw_tail_word);
+  for (QueryKind kind : {QueryKind::kUnbound, QueryKind::kAllDense,
+                         QueryKind::kAllSparse, QueryKind::kMixed,
+                         QueryKind::kNoMatch}) {
+    EXPECT_GT(seen[kind], 0u) << "query kind " << int(kind) << " never drawn";
+  }
+}
+
+TEST(GroupPostingIndexTest, DensityRuleBoundaryAndEdgeValues) {
+  // 352 groups (5.5 words: the last bitmap word is half used), each with a
+  // distinct A1. A0 = 0 on exactly 352/32 = 11 groups (the smallest list
+  // that becomes a bitmap), 1 on 10 (stays an array), 2 on the other 331.
+  // A2 alternates, A3 has a one-value domain (a zero-width key field), and
+  // A1 codes 352..399 belong to no group.
+  const size_t kGroups = 352;
+  SchemaPtr schema = MakeSchema({3, 400, 2, 1}, 3);
+  Table t(schema);
+  for (size_t g = 0; g < kGroups; ++g) {
+    const uint32_t a0 = g < 11 ? 0 : g < 21 ? 1 : 2;
+    for (uint32_t sa = 0; sa < 1 + g % 3; ++sa) {
+      const uint32_t row[] = {a0, uint32_t(g), uint32_t(g % 2), 0, sa};
+      t.AppendRowUnchecked(row);
+    }
+  }
+  for (auto mode : {FlatGroupIndex::KeyMode::kAuto,
+                    FlatGroupIndex::KeyMode::kForceWide}) {
+    const FlatGroupIndex flat = FlatGroupIndex::Build(t, mode);
+    ASSERT_EQ(flat.num_groups(), kGroups);
+    const GroupPostingIndex filter(flat);
+    EXPECT_TRUE(filter.IsDense(0, 0));
+    EXPECT_FALSE(filter.IsDense(0, 1));
+    EXPECT_TRUE(filter.IsDense(0, 2));
+    EXPECT_FALSE(filter.IsDense(1, 5));
+    EXPECT_FALSE(filter.IsDense(1, 399));  // no group: an empty array
+    EXPECT_TRUE(filter.IsDense(2, 0));
+    EXPECT_TRUE(filter.IsDense(3, 0));
+    // Four bitmaps of 6 words; one id per group for A1 plus A0 = 1's ten.
+    EXPECT_EQ(filter.dense_bytes(), 5 * 6 * sizeof(uint64_t));
+    EXPECT_EQ(filter.sparse_bytes(), (kGroups + 10) * sizeof(uint32_t));
+
+    // {A0, A1, A2, A3} bindings, -1 = wildcard.
+    const std::vector<std::vector<int64_t>> queries = {
+        {-1, -1, -1, -1},  // unbound
+        {0, -1, -1, -1},   // one bitmap, exactly at the threshold
+        {2, -1, 1, 0},     // all dense, three bitmaps ANDed
+        {0, -1, 1, -1},    // all dense
+        {1, -1, -1, -1},   // one array
+        {-1, 7, -1, -1},   // one array, a single group
+        {1, 15, -1, -1},   // all sparse, arrays of different lengths
+        {1, 16, 0, 0},     // mixed: candidates from the shorter array
+        {0, 3, 1, 0},      // mixed, the candidate fails the bitmap check
+        {2, 300, 0, 0},    // mixed, matches
+        {-1, 399, -1, -1},  // a value no group carries
+        {0, 399, 1, 0},    // the same, beside bitmaps
+        {3, -1, -1, -1},   // code outside A0's domain
+        {-1, -1, -1, 1},   // code outside the one-value domain
+        {-1, -1, 2, -1},   // code outside A2's domain
+    };
+    for (const auto& binding : queries) {
+      Predicate pred(5);
+      for (size_t attr = 0; attr < binding.size(); ++attr) {
+        if (binding[attr] >= 0) pred.Bind(attr, uint32_t(binding[attr]));
+      }
+      SCOPED_TRACE(pred.ToString(*schema));
+      for (uint32_t sa = 0; sa < 3; ++sa) {
+        ExpectFilterAgrees(flat, filter, pred, sa);
+      }
+    }
+  }
+}
+
+TEST(GroupPostingIndexTest, EmptyIndexMatchesNothing) {
+  SchemaPtr schema = MakeSchema({2, 70}, 2);
+  const Table t(schema);
+  const FlatGroupIndex flat = FlatGroupIndex::Build(t);
+  const GroupPostingIndex filter(flat);
+  EXPECT_EQ(filter.dense_bytes(), 0u);
+  EXPECT_EQ(filter.sparse_bytes(), 0u);
+  Predicate unbound(3);
+  Predicate bound(3);
+  bound.Bind(0, 1);
+  bound.Bind(1, 69);
+  for (const Predicate* pred : {&unbound, &bound}) {
+    EXPECT_TRUE(filter.MatchingGroups(*pred).empty());
+    ExpectFilterAgrees(flat, filter, *pred, 1);
+  }
+}
+
+TEST(GroupPostingIndexTest, SixtyFourBitKeyWithZeroWidthField) {
+  // A one-value attribute ahead of 64 key bits: its zero-width field sits
+  // at shift 64, which neither key matcher may shift by.
+  Rng rng(64);
+  SchemaPtr schema = MakeSchema({1, 65536, 65536, 65536, 65536}, 2);
+  Table t = RandomTable(schema, 300, rng);
+  const FlatGroupIndex flat = FlatGroupIndex::Build(t);
+  ASSERT_TRUE(flat.packed());
+  const GroupPostingIndex filter(flat);
+  for (int trial = 0; trial < 40; ++trial) {
+    const uint32_t row = uint32_t(rng.NextUint64(t.num_rows()));
+    Predicate pred(6);
+    pred.Bind(0, trial % 7 == 0 ? 1 : 0);
+    for (size_t attr = 1; attr < 5; ++attr) {
+      if (rng.NextUint64(3) != 0) pred.Bind(attr, t.at(row, attr));
+    }
+    ExpectFilterAgrees(flat, filter, pred, uint32_t(rng.NextUint64(2)));
   }
 }
 

@@ -293,26 +293,36 @@ TEST(ReleaseStoreTest, PublishFromStreamingRepublishes) {
 // --- QueryEngine -----------------------------------------------------------
 
 TEST(QueryEngineTest, BatchMatchesSingleQueryReference) {
-  for (EvalStrategy strategy :
-       {EvalStrategy::kPostings, EvalStrategy::kGroupShard}) {
+  // The engine's one evaluation path (the group filter) against the fused
+  // scan reference, with the answer cache off (every query evaluated,
+  // in-batch duplicates deduplicated by canonical key) and on (a cold batch
+  // of misses, then the same batch served from the cache).
+  for (size_t cache_capacity : {size_t(0), size_t(1) << 16}) {
+    SCOPED_TRACE("cache_capacity " + std::to_string(cache_capacity));
     QueryEngineOptions options;
     options.num_threads = 4;
-    options.strategy = strategy;
-    options.cache_capacity = 0;  // isolate the evaluation paths
+    options.cache_capacity = cache_capacity;
     Served s = MakeServed(options);
     auto snap = *s.store->Get("simple");
 
     std::vector<CountQuery> batch = AllQueries(snap->bundle.data);
-    auto result = s.engine->AnswerBatch("simple", batch);
-    ASSERT_TRUE(result.ok());
-    ASSERT_EQ(result->answers.size(), batch.size());
-    EXPECT_EQ(result->strategy_used, strategy);
-    for (size_t i = 0; i < batch.size(); ++i) {
-      const Answer ref = EvaluateUncached(*snap, batch[i]);
-      EXPECT_EQ(result->answers[i].observed, ref.observed) << "query " << i;
-      EXPECT_EQ(result->answers[i].matched_size, ref.matched_size);
-      EXPECT_DOUBLE_EQ(result->answers[i].estimate, ref.estimate);
-      EXPECT_FALSE(result->answers[i].cached);
+    // Repeat the batch inside itself so the duplicate-copy path runs too.
+    const size_t distinct = batch.size();
+    for (size_t i = 0; i < distinct; ++i) batch.push_back(batch[i]);
+    for (bool warm : {false, true}) {
+      auto result = s.engine->AnswerBatch("simple", batch);
+      ASSERT_TRUE(result.ok());
+      ASSERT_EQ(result->answers.size(), batch.size());
+      EXPECT_EQ(result->strategy_used, EvalStrategy::kPostings);
+      const bool expect_cached = warm && cache_capacity > 0;
+      EXPECT_EQ(result->cache_hits, expect_cached ? batch.size() : 0u);
+      for (size_t i = 0; i < batch.size(); ++i) {
+        const Answer ref = EvaluateUncached(*snap, batch[i]);
+        EXPECT_EQ(result->answers[i].observed, ref.observed) << "query " << i;
+        EXPECT_EQ(result->answers[i].matched_size, ref.matched_size);
+        EXPECT_DOUBLE_EQ(result->answers[i].estimate, ref.estimate);
+        EXPECT_EQ(result->answers[i].cached, expect_cached);
+      }
     }
   }
 }

@@ -40,7 +40,7 @@ int Run() {
                     exp::SweepAxis::kDelta}) {
     const auto values = exp::DefaultAxisValues(axis);
     auto sweep =
-        exp::SweepErrors(ds->flat_index, ds->pool, axis, values, runs, seed++);
+        exp::SweepErrors(ds->index, ds->pool, axis, values, runs, seed++);
     if (!sweep.ok()) {
       std::cerr << sweep.status() << "\n";
       return 1;

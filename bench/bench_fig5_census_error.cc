@@ -41,7 +41,7 @@ int Run() {
                     exp::SweepAxis::kDelta}) {
     const auto values = exp::DefaultAxisValues(axis);
     auto sweep =
-        exp::SweepErrors(ds->flat_index, ds->pool, axis, values, runs, seed++);
+        exp::SweepErrors(ds->index, ds->pool, axis, values, runs, seed++);
     if (!sweep.ok()) {
       std::cerr << sweep.status() << "\n";
       return 1;
@@ -70,7 +70,7 @@ int Run() {
       std::cerr << sized.status() << "\n";
       return 1;
     }
-    auto point = exp::MeasureRelativeError(sized->flat_index, sized->pool,
+    auto point = exp::MeasureRelativeError(sized->index, sized->pool,
                                            exp::DefaultParams(50), runs, rng);
     if (!point.ok()) {
       std::cerr << point.status() << "\n";

@@ -1,51 +1,54 @@
-// Group-index layout bench: legacy row-oriented GroupIndex vs the columnar
-// FlatGroupIndex, head to head on the operations every scan-bound workload
-// in the repo reduces to (paper §3.2, §5):
+// Group-index bench: the FlatGroupIndex operations every scan-bound
+// workload in the repo reduces to (paper §3.2, §5), and the
+// density-adaptive GroupPostingIndex filter the serving engine answers
+// through:
 //
-//   build            index construction from a table (comparator sort vs
-//                    packed-key radix sort + run-length pass)
+//   build            index construction from a table (packed-key radix
+//                    sort + run-length pass)
 //   scan_match       MatchingGroupsInto over a query-pool's NA predicates
 //                    (one linear pass of the NA keys per query)
 //   count_answer     a full count-query answer: observed O* + matched |S*|
-//                    (legacy: match list + per-group gather; flat: the
-//                    fused AnswerInto kernel, no match list)
-//   posting_*        the density-adaptive GroupPostingIndex filter over the
-//                    flat layout (bitmaps for frequent values, sorted id
-//                    arrays for rare ones): posting_match builds the match
-//                    list, posting_count sums O*, and posting_answer is the
-//                    fused O* + |S*| call the serving engine makes for every
-//                    uncached query (answers asserted equal to the flat
-//                    kernel's before timing). No legacy counterpart —
-//                    reported for the perf trajectory only.
+//                    through the fused AnswerInto kernel, no match list
+//   posting_*        the GroupPostingIndex filter (bitmaps for frequent
+//                    values, sorted id arrays for rare ones): posting_match
+//                    builds the match list, posting_count sums O*, and
+//                    posting_answer is the fused O* + |S*| call the serving
+//                    engine makes for every uncached query (answers
+//                    asserted equal to the flat kernel's before timing)
+//   count_answer/flat_scalar, count_answer/flat_avx2
+//                    the AnswerInto kernel pinned to each dispatch level
+//                    (AVX2 hosts only), timed in interleaved rounds
 //
 // Datasets are the paper's two scales, synthesized: ADULT (45,222 records)
 // and CENSUS (300,000 records — the >=100k "serving-relevant" scale the
-// speedup gate runs on). Both are indexed on their raw (ungeneralized)
+// kernel gate runs on). Both are indexed on their raw (ungeneralized)
 // public attributes, the group-rich regime where layout matters.
 //
 // Results go to stdout as tables and to --out (default
 // BENCH_group_index.json) as machine-readable JSON:
 //
 //   {
-//     "schema": "bench_group_index/v1",
+//     "schema": "bench_group_index/v2",
 //     "quick": false,
 //     "datasets": { "<name>": {"rows": R, "groups": G, "pool": Q,
 //         "posting_build_ms": B, "posting_dense_bytes": D,
 //         "posting_sparse_bytes": S} },
 //     "benchmarks": { "<dataset>/<op>/<layout>":
 //         {"ns_per_op": N, "throughput": T, "unit": "<ops>/s", "iters": I} },
-//     "speedups": { "<dataset>/<op>": legacy_ns / flat_ns }
+//     "speedups": { "<dataset>/count_answer_simd":
+//         {"median": M, "min": L, "max": H, "rounds": K} }
 //   }
 //
-// Exits non-zero unless the flat layout wins >=2x on at least one of
-// {build, scan_match, count_answer} at the >=100k-row scale, so CI can gate
-// on the tentpole claim. --quick shrinks both datasets for smoke runs
-// (the gate is skipped below 100k rows, but the JSON is still emitted).
+// On AVX2 hosts, exits non-zero unless the AVX2 kernel's median per-round
+// speedup over the scalar kernel on count_answer is >= 2x at the >=100k-row
+// scale. --quick shrinks both datasets for smoke runs (the gate is skipped
+// below 100k rows, but the JSON is still emitted).
 
 #include <functional>
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -60,8 +63,8 @@
 #include "query/query_pool.h"
 #include "table/flat_group_index.h"
 #include "table/simd/dispatch.h"
+#include "bench_util.h"
 #include "testing_util.h"
-#include "table/group_index.h"
 
 namespace {
 
@@ -74,9 +77,10 @@ struct Measurement {
 };
 
 /// Times `fn` (a workload of `ops` logical operations): one warmup run,
-/// then repeats until `min_seconds` of wall time has accumulated.
+/// then repeats until `min_seconds` of wall time and `min_iters` runs have
+/// accumulated.
 Measurement Measure(size_t ops, double min_seconds,
-                    const std::function<void()>& fn) {
+                    const std::function<void()>& fn, size_t min_iters = 1) {
   fn();  // warmup: faults pages, fills allocator caches
   Measurement m;
   WallTimer timer;
@@ -85,25 +89,11 @@ Measurement Measure(size_t ops, double min_seconds,
     fn();
     ++m.iters;
     elapsed = timer.Seconds();
-  } while (elapsed < min_seconds);
+  } while (elapsed < min_seconds || m.iters < min_iters);
   const double total_ops = double(m.iters) * double(ops);
   m.ns_per_op = elapsed * 1e9 / total_ops;
   m.per_sec = total_ops / elapsed;
   return m;
-}
-
-/// Best (fastest) of `rounds` Measure calls. Used for the arms a speedup
-/// gate compares: on a busy or thermally-throttling host the mean drifts
-/// between two runs of the *same* code by more than the gate margin, while
-/// the per-round minimum converges on the code's actual cost.
-Measurement MeasureBest(size_t rounds, size_t ops, double min_seconds,
-                        const std::function<void()>& fn) {
-  Measurement best = Measure(ops, min_seconds, fn);
-  for (size_t r = 1; r < rounds; ++r) {
-    const Measurement m = Measure(ops, min_seconds, fn);
-    if (m.ns_per_op < best.ns_per_op) best = m;
-  }
-  return best;
 }
 
 struct Dataset {
@@ -115,6 +105,13 @@ struct Dataset {
 /// One dataset's results, keyed "<op>/<layout>".
 using Results = std::map<std::string, Measurement>;
 
+/// Interleaved scalar-vs-AVX2 rounds of the count_answer kernel.
+constexpr size_t kSimdRounds = 9;
+/// Pool passes each arm runs per round, at least: one pass over the
+/// CENSUS-300k pool takes 0.1-0.3 s, so a round of a few passes keeps a
+/// single slow stretch from deciding the round.
+constexpr size_t kSimdItersPerRound = 3;
+
 /// Size and build cost of the GroupPostingIndex filter of one dataset.
 struct PostingFootprint {
   double build_ms = 0.0;
@@ -123,20 +120,16 @@ struct PostingFootprint {
 };
 
 Results RunDataset(const Dataset& ds, double min_seconds,
-                   PostingFootprint* footprint) {
+                   PostingFootprint* footprint,
+                   std::optional<bench::PairedRounds>* simd) {
   Results out;
 
   // --- build ---------------------------------------------------------------
-  out["build/legacy"] = Measure(ds.table.num_rows(), min_seconds, [&] {
-    auto idx = table::GroupIndex::Build(ds.table);
-    if (idx.num_groups() == 0) std::abort();
-  });
   out["build/flat"] = Measure(ds.table.num_rows(), min_seconds, [&] {
     auto idx = table::FlatGroupIndex::Build(ds.table);
     if (idx.num_groups() == 0) std::abort();
   });
 
-  const table::GroupIndex legacy = table::GroupIndex::Build(ds.table);
   const table::FlatGroupIndex flat = table::FlatGroupIndex::Build(ds.table);
   const table::GroupPostingIndex postings(flat);
   footprint->build_ms =
@@ -149,15 +142,6 @@ Results RunDataset(const Dataset& ds, double min_seconds,
 
   // --- scan_match: matching group ids per pool predicate -------------------
   uint64_t sink = 0;
-  {
-    std::vector<size_t> matches;
-    out["scan_match/legacy"] = Measure(ds.pool.size(), min_seconds, [&] {
-      for (const auto& q : ds.pool) {
-        legacy.MatchingGroupsInto(q.na_predicate, matches);
-        sink += matches.size();
-      }
-    });
-  }
   {
     std::vector<uint32_t> matches;
     out["scan_match/flat"] = Measure(ds.pool.size(), min_seconds, [&] {
@@ -178,23 +162,6 @@ Results RunDataset(const Dataset& ds, double min_seconds,
   }
 
   // --- count_answer: observed O* + matched |S*| per pool query -------------
-  {
-    // The pre-PR-2 serving hot path: materialize the match list, then
-    // gather from each group's separately-allocated vectors.
-    std::vector<size_t> matches;
-    out["count_answer/legacy"] = Measure(ds.pool.size(), min_seconds, [&] {
-      for (const auto& q : ds.pool) {
-        legacy.MatchingGroupsInto(q.na_predicate, matches);
-        uint64_t observed = 0, matched_size = 0;
-        for (size_t gi : matches) {
-          const auto& g = legacy.groups()[gi];
-          observed += g.sa_counts[q.sa_code];
-          matched_size += g.size();
-        }
-        sink += observed + matched_size;
-      }
-    });
-  }
   out["count_answer/flat"] = Measure(ds.pool.size(), min_seconds, [&] {
     for (const auto& q : ds.pool) {
       uint64_t observed = 0, matched_size = 0;
@@ -229,56 +196,60 @@ Results RunDataset(const Dataset& ds, double min_seconds,
   });
 
   // --- count_answer under pinned kernel dispatch levels --------------------
-  // The "flat" arm above runs at the as-shipped auto level; these arms pin
-  // the level so the SIMD speedup is measured against the scalar kernel on
-  // identical data. Bit-identity across levels is asserted per pool query
-  // before anything is timed — a wrong fast kernel must fail loudly here,
-  // not surface as a serving discrepancy.
-  {
-    const table::simd::DispatchLevel restore = table::simd::ActiveLevel();
-    table::simd::SetDispatchLevel(table::simd::DispatchLevel::kScalar);
-    if (table::simd::HostSupportsAvx2()) {
-      for (const auto& q : ds.pool) {
-        uint64_t scalar_observed = 0, scalar_matched = 0;
-        flat.AnswerInto(q.na_predicate, q.sa_code, &scalar_observed,
-                        &scalar_matched);
-        table::simd::SetDispatchLevel(table::simd::DispatchLevel::kAvx2);
-        uint64_t avx2_observed = 0, avx2_matched = 0;
-        flat.AnswerInto(q.na_predicate, q.sa_code, &avx2_observed,
-                        &avx2_matched);
-        table::simd::SetDispatchLevel(table::simd::DispatchLevel::kScalar);
-        if (avx2_observed != scalar_observed ||
-            avx2_matched != scalar_matched) {
-          std::cerr << "SIMD kernel answer mismatch on " << ds.name
-                    << ": scalar (" << scalar_observed << ", "
-                    << scalar_matched << ") vs avx2 (" << avx2_observed
-                    << ", " << avx2_matched << ")\n";
-          std::abort();
-        }
+  // The "flat" arm above runs at the as-shipped auto level; on AVX2 hosts
+  // these arms pin the level so the SIMD speedup is measured against the
+  // scalar kernel on identical data. Bit-identity across levels is
+  // asserted per pool query before anything is timed — a wrong fast kernel
+  // must fail loudly here, not surface as a serving discrepancy. The two
+  // levels are timed in interleaved rounds (bench_util.h) so the gate reads
+  // per-round ratios, not two runs minutes apart.
+  if (table::simd::HostSupportsAvx2()) {
+    using table::simd::DispatchLevel;
+    const DispatchLevel restore = table::simd::ActiveLevel();
+    auto answer_at = [&](DispatchLevel level, const query::CountQuery& q,
+                         uint64_t* observed, uint64_t* matched_size) {
+      table::simd::SetDispatchLevel(level);
+      flat.AnswerInto(q.na_predicate, q.sa_code, observed, matched_size);
+    };
+    for (const auto& q : ds.pool) {
+      uint64_t scalar_observed = 0, scalar_matched = 0;
+      answer_at(DispatchLevel::kScalar, q, &scalar_observed, &scalar_matched);
+      uint64_t avx2_observed = 0, avx2_matched = 0;
+      answer_at(DispatchLevel::kAvx2, q, &avx2_observed, &avx2_matched);
+      if (avx2_observed != scalar_observed || avx2_matched != scalar_matched) {
+        std::cerr << "SIMD kernel answer mismatch on " << ds.name
+                  << ": scalar (" << scalar_observed << ", " << scalar_matched
+                  << ") vs avx2 (" << avx2_observed << ", " << avx2_matched
+                  << ")\n";
+        std::abort();
       }
     }
-    out["count_answer/flat_scalar"] =
-        MeasureBest(3, ds.pool.size(), min_seconds, [&] {
-          for (const auto& q : ds.pool) {
-            uint64_t observed = 0, matched_size = 0;
-            flat.AnswerInto(q.na_predicate, q.sa_code, &observed,
-                            &matched_size);
-            sink += observed + matched_size;
-          }
-        });
-    if (table::simd::HostSupportsAvx2()) {
-      table::simd::SetDispatchLevel(table::simd::DispatchLevel::kAvx2);
-      out["count_answer/flat_avx2"] =
-          MeasureBest(3, ds.pool.size(), min_seconds, [&] {
+    size_t iters[2] = {0, 0};
+    auto arm = [&](DispatchLevel level, size_t* total_iters) {
+      table::simd::SetDispatchLevel(level);
+      const Measurement m = Measure(
+          ds.pool.size(), min_seconds,
+          [&] {
             for (const auto& q : ds.pool) {
               uint64_t observed = 0, matched_size = 0;
               flat.AnswerInto(q.na_predicate, q.sa_code, &observed,
                               &matched_size);
               sink += observed + matched_size;
             }
-          });
-    }
+          },
+          kSimdItersPerRound);
+      *total_iters += m.iters;
+      return m.ns_per_op;
+    };
+    *simd = bench::TimeInterleaved(
+        kSimdRounds, [&] { return arm(DispatchLevel::kScalar, &iters[0]); },
+        [&] { return arm(DispatchLevel::kAvx2, &iters[1]); });
     table::simd::SetDispatchLevel(restore);
+    // Each level is reported at its median round.
+    const double scalar_ns = bench::SpreadOf((*simd)->baseline).median;
+    const double avx2_ns = bench::SpreadOf((*simd)->candidate).median;
+    out["count_answer/flat_scalar"] = {scalar_ns, 1e9 / scalar_ns, iters[0]};
+    out["count_answer/flat_avx2"] = {avx2_ns, 1e9 / avx2_ns, iters[1]};
   }
   if (sink == uint64_t(-1)) std::abort();  // keep the loops observable
 
@@ -312,8 +283,8 @@ int Run(int argc, char** argv) {
   const size_t pool_size = quick ? 200 : 1000;
 
   exp::PrintBanner(std::cout,
-                   "Group-index layouts: row-oriented GroupIndex vs columnar "
-                   "FlatGroupIndex",
+                   "Group index: FlatGroupIndex kernels and the "
+                   "GroupPostingIndex filter",
                    quick ? "quick smoke sizes (gate skipped)"
                          : "ADULT 45k / CENSUS 300k, 1,000-query pools");
 
@@ -347,19 +318,15 @@ int Run(int argc, char** argv) {
   }
 
   JsonValue doc = JsonValue::Object();
-  doc.Set("schema", JsonValue::String("bench_group_index/v1"));
+  doc.Set("schema", JsonValue::String("bench_group_index/v2"));
   doc.Set("quick", JsonValue::Bool(quick));
   JsonValue json_datasets = JsonValue::Object();
   JsonValue json_benchmarks = JsonValue::Object();
   JsonValue json_speedups = JsonValue::Object();
 
-  // The tentpole gate: >=2x on one of these ops at >=100k rows.
-  const std::vector<std::string> gated_ops = {"build", "scan_match",
-                                              "count_answer"};
-  bool gate_applicable = false;
-  bool gate_passed = false;
-  // The kernel-dispatch gate (PR 9): on AVX2 hosts, the vector kernel must
-  // win >=2x over the pinned scalar kernel on count_answer at >=100k rows.
+  // The kernel-dispatch gate: on AVX2 hosts, the vector kernel's median
+  // per-round speedup over the pinned scalar kernel on count_answer must
+  // be >=2x at >=100k rows.
   bool simd_gate_applicable = false;
   bool simd_gate_passed = false;
 
@@ -372,7 +339,8 @@ int Run(int argc, char** argv) {
               << (index.packed() ? "packed 64-bit keys" : "wide keys")
               << ")\n";
     PostingFootprint footprint;
-    const Results results = RunDataset(ds, min_seconds, &footprint);
+    std::optional<bench::PairedRounds> simd;
+    const Results results = RunDataset(ds, min_seconds, &footprint, &simd);
     std::cout << "posting filter: built in "
               << FormatDouble(footprint.build_ms, 3) << " ms, "
               << FormatWithCommas(int64_t(footprint.dense_bytes))
@@ -406,30 +374,22 @@ int Run(int argc, char** argv) {
     }
     table.Print(std::cout);
 
-    std::cout << "flat vs legacy:";
-    for (const std::string& op : gated_ops) {
-      const double speedup = results.at(op + "/legacy").ns_per_op /
-                             results.at(op + "/flat").ns_per_op;
-      json_speedups.Set(ds.name + "/" + op, JsonValue::Number(speedup));
-      std::cout << "  " << op << " " << FormatDouble(speedup, 2) << "x";
-      if (ds.table.num_rows() >= 100000) {
-        gate_applicable = true;
-        if (speedup >= 2.0) gate_passed = true;
-      }
-    }
-    std::cout << "\n";
-
-    if (table::simd::HostSupportsAvx2()) {
-      const double simd_speedup =
-          results.at("count_answer/flat_scalar").ns_per_op /
-          results.at("count_answer/flat_avx2").ns_per_op;
-      json_speedups.Set(ds.name + "/count_answer_simd",
-                        JsonValue::Number(simd_speedup));
-      std::cout << "avx2 vs scalar kernel:  count_answer "
-                << FormatDouble(simd_speedup, 2) << "x (answers identical)\n";
+    if (simd.has_value()) {
+      const bench::Spread speedup = simd->speedup();
+      JsonValue entry = JsonValue::Object();
+      entry.Set("median", JsonValue::Number(speedup.median));
+      entry.Set("min", JsonValue::Number(speedup.min));
+      entry.Set("max", JsonValue::Number(speedup.max));
+      entry.Set("rounds", JsonValue::Int(int64_t(simd->ratios.size())));
+      json_speedups.Set(ds.name + "/count_answer_simd", std::move(entry));
+      std::cout << "avx2 vs scalar kernel:  count_answer median "
+                << FormatDouble(speedup.median, 2) << "x over "
+                << simd->ratios.size() << " interleaved rounds (min "
+                << FormatDouble(speedup.min, 2) << "x, max "
+                << FormatDouble(speedup.max, 2) << "x; answers identical)\n";
       if (ds.table.num_rows() >= 100000) {
         simd_gate_applicable = true;
-        if (simd_speedup >= 2.0) simd_gate_passed = true;
+        if (speedup.median >= 2.0) simd_gate_passed = true;
       }
     }
   }
@@ -454,16 +414,8 @@ int Run(int argc, char** argv) {
   std::cout << "\nresults written to " << out_path << "\n";
 
   int exit_code = 0;
-  if (gate_applicable) {
-    std::cout << ">=2x on {build, scan_match, count_answer} at >=100k rows: "
-              << (gate_passed ? "PASS" : "FAIL") << "\n";
-    if (!gate_passed) exit_code = 1;
-  } else {
-    std::cout
-        << "speedup gate skipped (no >=100k-row dataset at this size)\n";
-  }
   if (simd_gate_applicable) {
-    std::cout << ">=2x avx2 vs scalar on count_answer at >=100k rows: "
+    std::cout << ">=2x median avx2 vs scalar on count_answer at >=100k rows: "
               << (simd_gate_passed ? "PASS" : "FAIL") << "\n";
     if (!simd_gate_passed) exit_code = 1;
   } else {

@@ -21,7 +21,6 @@
 #include "exp/reporting.h"
 #include "perturb/mle.h"
 #include "perturb/uniform_perturbation.h"
-#include "table/group_index.h"
 
 namespace {
 

@@ -14,10 +14,20 @@
 // serving fails to beat the baseline or the cache win is below 10x, so CI
 // can gate on it.
 //
+// The pool repeats many queries, and the engine evaluates the duplicates
+// of one batch once, so with its cache off a larger batch evaluates fewer
+// distinct queries. Each batch-size row reports that count (distinct
+// canonical keys per batch, summed over the row's batches) next to its
+// q/s. With the cache on, as in these tables, repeats across batches are
+// cache hits too, so every cold row evaluates the pool's distinct
+// queries once.
+//
 // RECPRIV_FULL=1 doubles the dataset.
 
 #include <algorithm>
 #include <iostream>
+#include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "common/string_util.h"
@@ -26,6 +36,7 @@
 #include "datagen/census.h"
 #include "exp/experiment.h"
 #include "exp/reporting.h"
+#include "query/canonical.h"
 #include "query/evaluation.h"
 #include "query/query_pool.h"
 #include "serve/query_engine.h"
@@ -42,6 +53,14 @@ struct Timed {
   double seconds = 0.0;
   double qps = 0.0;
 };
+
+/// Distinct queries of `batch` by canonical key: what a cold engine
+/// evaluates for it, since in-batch duplicates are answered once.
+size_t DistinctQueries(const std::vector<query::CountQuery>& batch) {
+  std::unordered_set<std::string> keys;
+  for (const query::CountQuery& q : batch) keys.insert(query::CanonicalKey(q));
+  return keys.size();
+}
 
 Timed Time(size_t queries, const std::function<void()>& fn) {
   WallTimer timer;
@@ -140,19 +159,24 @@ int Run() {
          FormatWithCommas(int64_t(warm.qps)),
          FormatDouble(cold.qps / baseline.qps, 3) + "x"});
   }
-  std::cout << "queries/sec vs thread count (batch = " << kPoolSize << "):\n";
+  std::cout << "queries/sec vs thread count (batch = " << kPoolSize << ", "
+            << FormatWithCommas(int64_t(DistinctQueries(pool)))
+            << " distinct):\n";
   by_threads.Print(std::cout);
 
   // --- engine: queries/sec vs batch size ----------------------------------
-  exp::AsciiTable by_batch({"batch_size", "cold_qps", "warm_qps"});
+  exp::AsciiTable by_batch(
+      {"batch_size", "distinct_queries", "cold_qps", "warm_qps"});
   for (size_t batch_size :
        {size_t(1), size_t(64), size_t(512), size_t(1024), kPoolSize}) {
     serve::QueryEngineOptions options;
     serve::QueryEngine engine(store, options);
     std::vector<std::vector<query::CountQuery>> batches;
+    size_t distinct = 0;
     for (size_t lo = 0; lo < pool.size(); lo += batch_size) {
       const size_t hi = std::min(pool.size(), lo + batch_size);
       batches.emplace_back(pool.begin() + lo, pool.begin() + hi);
+      distinct += DistinctQueries(batches.back());
     }
     const Timed cold = Time(pool.size(), [&] {
       for (const auto& b : batches) {
@@ -165,10 +189,12 @@ int Run() {
       }
     });
     by_batch.AddRow({std::to_string(batch_size),
+                     FormatWithCommas(int64_t(distinct)),
                      FormatWithCommas(int64_t(cold.qps)),
                      FormatWithCommas(int64_t(warm.qps))});
   }
-  std::cout << "\nqueries/sec vs batch size (default threads):\n";
+  std::cout << "\nqueries/sec vs batch size (default threads; "
+               "distinct_queries = distinct per batch, summed):\n";
   by_batch.Print(std::cout);
 
   // --- verdicts ------------------------------------------------------------

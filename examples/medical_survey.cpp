@@ -25,30 +25,29 @@ namespace {
 
 /// Reconstruction error (absolute, in percentage points) of `sa` over the
 /// given groups, averaged over `runs` randomized releases.
-double MeasureError(const table::GroupIndex& index,
-                    const std::vector<size_t>& group_ids, size_t sa,
+double MeasureError(const table::FlatGroupIndex& index,
+                    const std::vector<uint32_t>& group_ids, size_t sa,
                     const core::PrivacyParams& params, bool use_sps,
                     size_t runs, Rng& rng) {
   const perturb::UniformPerturbation up{params.retention_p, params.domain_m};
   // Truth over the union of the selected groups.
   uint64_t true_count = 0, true_size = 0;
-  for (size_t gi : group_ids) {
-    true_count += index.groups()[gi].sa_counts[sa];
-    true_size += index.groups()[gi].size();
+  for (uint32_t gi : group_ids) {
+    true_count += index.sa_count(gi, sa);
+    true_size += index.group_size(gi);
   }
   const double truth = double(true_count) / double(true_size);
 
   double total_err = 0.0;
   for (size_t run = 0; run < runs; ++run) {
     uint64_t observed = 0, size = 0;
-    for (size_t gi : group_ids) {
+    for (uint32_t gi : group_ids) {
       std::vector<uint64_t> obs;
       if (use_sps) {
-        obs = core::SpsPerturbGroupCounts(params,
-                                          index.groups()[gi].sa_counts, rng)
+        obs = core::SpsPerturbGroupCounts(params, index.sa_counts(gi), rng)
                   ->observed;
       } else {
-        obs = *perturb::PerturbCounts(up, index.groups()[gi].sa_counts, rng);
+        obs = *perturb::PerturbCounts(up, index.sa_counts(gi), rng);
       }
       observed += obs[sa];
       for (uint64_t c : obs) size += c;
@@ -86,31 +85,31 @@ int main() {
   params.retention_p = 0.2;  // Example 2 uses 20% retention
   params.domain_m = 10;
 
-  table::GroupIndex index = table::GroupIndex::Build(data);
+  const table::FlatGroupIndex index = table::FlatGroupIndex::Build(data);
   const size_t bc = *data.schema()->sensitive().domain.GetCode("bc");
   const size_t cs = *data.schema()->sensitive().domain.GetCode("cs");
 
   // Bob's personal group and the analyst's aggregate group.
   const uint32_t male = *data.schema()->attribute(0).domain.GetCode("male");
   const uint32_t eng = *data.schema()->attribute(1).domain.GetCode("eng");
-  std::vector<size_t> personal{*index.FindGroup({male, eng})};
+  const std::vector<uint32_t> bob_key{male, eng};
+  std::vector<uint32_t> personal{uint32_t(*index.FindGroup(bob_key))};
   table::Predicate engineers(3);
   engineers.Bind(1, eng);
-  std::vector<size_t> aggregate = index.MatchingGroups(engineers);
+  std::vector<uint32_t> aggregate = index.MatchingGroups(engineers);
 
   std::cout << "D(Gender, Job, Disease): " << data.num_rows()
             << " records, m = 10 diseases, retention p = 0.2\n";
   std::cout << "personal group D(male, eng): "
-            << index.groups()[personal[0]].size() << " records, bc rate "
-            << FormatPercent(index.groups()[personal[0]].Frequency(bc))
-            << "\n";
+            << index.group_size(personal[0]) << " records, bc rate "
+            << FormatPercent(index.Frequency(personal[0], bc)) << "\n";
 
   const size_t runs = 200;
   std::cout << "\nmean |reconstruction error| over " << runs
             << " releases (percentage points):\n\n";
   exp::AsciiTable out({"reconstruction", "plain UP", "SPS"});
-  auto row = [&](const std::string& label, const std::vector<size_t>& groups,
-                 size_t sa) {
+  auto row = [&](const std::string& label,
+                 const std::vector<uint32_t>& groups, size_t sa) {
     Rng up_rng(1), sps_rng(2);
     out.AddRow({label,
                 FormatPercent(MeasureError(index, groups, sa, params, false,

@@ -15,9 +15,11 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
-#include "table/group_index.h"
+#include "table/flat_group_index.h"
 
 namespace recpriv::anon {
 
@@ -40,14 +42,14 @@ struct DiversityReport {
 
 /// Distinct l-diversity: each group has >= l SA values with count > 0.
 /// Requires l >= 1.
-DiversityReport CheckDistinctLDiversity(const recpriv::table::GroupIndex& index,
-                                        size_t l);
+DiversityReport CheckDistinctLDiversity(
+    const recpriv::table::FlatGroupIndex& index, size_t l);
 
 /// Entropy l-diversity: each group's SA entropy >= ln(l). Requires l >= 1.
-DiversityReport CheckEntropyLDiversity(const recpriv::table::GroupIndex& index,
-                                       double l);
+DiversityReport CheckEntropyLDiversity(
+    const recpriv::table::FlatGroupIndex& index, double l);
 
 /// Shannon entropy (nats) of a count histogram; 0 for empty histograms.
-double HistogramEntropy(const std::vector<uint64_t>& counts);
+double HistogramEntropy(std::span<const uint64_t> counts);
 
 }  // namespace recpriv::anon

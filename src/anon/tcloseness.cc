@@ -7,11 +7,11 @@
 
 namespace recpriv::anon {
 
-using recpriv::table::GroupIndex;
+using recpriv::table::FlatGroupIndex;
 using recpriv::table::Table;
 
-double TotalVariationDistance(const std::vector<uint64_t>& counts,
-                              const std::vector<uint64_t>& reference) {
+double TotalVariationDistance(std::span<const uint64_t> counts,
+                              std::span<const uint64_t> reference) {
   RECPRIV_CHECK(counts.size() == reference.size())
       << "TV distance needs equal-length histograms";
   uint64_t total_a = 0, total_b = 0;
@@ -26,19 +26,27 @@ double TotalVariationDistance(const std::vector<uint64_t>& counts,
   return distance / 2.0;
 }
 
-TClosenessReport CheckTCloseness(const GroupIndex& index, double t) {
+namespace {
+
+/// Global SA histogram: the sum of the group histograms.
+std::vector<uint64_t> GlobalHistogram(const FlatGroupIndex& index) {
+  std::vector<uint64_t> global(index.sa_domain(), 0);
+  for (size_t g = 0; g < index.num_groups(); ++g) {
+    const auto counts = index.sa_counts(g);
+    for (size_t i = 0; i < global.size(); ++i) global[i] += counts[i];
+  }
+  return global;
+}
+
+}  // namespace
+
+TClosenessReport CheckTCloseness(const FlatGroupIndex& index, double t) {
   RECPRIV_CHECK(t >= 0.0 && t <= 1.0) << "t must be in [0,1]";
   TClosenessReport report;
   report.num_groups = index.num_groups();
-  // Global SA histogram = sum of group histograms.
-  const size_t m = index.schema()->sa_domain_size();
-  std::vector<uint64_t> global(m, 0);
-  for (const auto& g : index.groups()) {
-    for (size_t i = 0; i < m; ++i) global[i] += g.sa_counts[i];
-  }
-  for (size_t gi = 0; gi < index.groups().size(); ++gi) {
-    const double d = TotalVariationDistance(index.groups()[gi].sa_counts,
-                                            global);
+  const std::vector<uint64_t> global = GlobalHistogram(index);
+  for (size_t gi = 0; gi < index.num_groups(); ++gi) {
+    const double d = TotalVariationDistance(index.sa_counts(gi), global);
     report.max_distance = std::max(report.max_distance, d);
     if (d > t) {
       ++report.failing_groups;
@@ -55,20 +63,19 @@ namespace {
 size_t SmoothingPass(Table& out, double t, bool force_full, Rng& rng) {
   const size_t m = out.schema()->sa_domain_size();
   const size_t sa_col = out.schema()->sensitive_index();
-  GroupIndex index = GroupIndex::Build(out);
+  const FlatGroupIndex index = FlatGroupIndex::Build(out);
 
-  std::vector<uint64_t> global(m, 0);
-  for (const auto& g : index.groups()) {
-    for (size_t i = 0; i < m; ++i) global[i] += g.sa_counts[i];
-  }
+  const std::vector<uint64_t> global = GlobalHistogram(index);
   std::vector<double> global_freq(m, 0.0);
   const double total = double(out.num_rows());
   for (size_t i = 0; i < m; ++i) global_freq[i] = double(global[i]) / total;
 
   size_t changed = 0;
-  for (const auto& g : index.groups()) {
-    const double d = TotalVariationDistance(g.sa_counts, global);
-    if (d <= t || g.size() == 0) continue;
+  for (size_t g = 0; g < index.num_groups(); ++g) {
+    const auto counts = index.sa_counts(g);
+    const uint64_t group_size = index.group_size(g);
+    const double d = TotalVariationDistance(counts, global);
+    if (d <= t || group_size == 0) continue;
     ++changed;
     // Blend: new = (1-alpha) group + alpha global with alpha = 1 - t/d,
     // which puts the blended distribution at TV distance exactly t
@@ -78,10 +85,10 @@ size_t SmoothingPass(Table& out, double t, bool force_full, Rng& rng) {
     // late passes when integer rounding of small groups blocks convergence
     // at intermediate blends.
     const double alpha = force_full ? 1.0 : 1.0 - t / d;
-    const double size = double(g.size());
+    const double size = double(group_size);
     std::vector<double> blended(m);
     for (size_t i = 0; i < m; ++i) {
-      blended[i] = (1.0 - alpha) * double(g.sa_counts[i]) / size +
+      blended[i] = (1.0 - alpha) * double(counts[i]) / size +
                    alpha * global_freq[i];
     }
     // Largest-remainder apportionment of |g| records to the blended
@@ -96,12 +103,12 @@ size_t SmoothingPass(Table& out, double t, bool force_full, Rng& rng) {
       remainders.emplace_back(exact - std::floor(exact), i);
     }
     std::sort(remainders.rbegin(), remainders.rend());
-    for (size_t i = 0; assigned < g.size(); ++i, ++assigned) {
+    for (size_t i = 0; assigned < group_size; ++i, ++assigned) {
       ++target[remainders[i % m].second];
     }
     // Rewrite the group's SA column: shuffle row order so which records
     // flip is random, then assign values to match `target`.
-    std::vector<size_t> rows = g.rows;
+    std::vector<uint32_t> rows(index.rows(g).begin(), index.rows(g).end());
     Shuffle(rng, rows);
     size_t cursor = 0;
     for (size_t sa = 0; sa < m; ++sa) {
@@ -132,14 +139,14 @@ Result<Table> EnforceTClosenessBySmoothing(const Table& data, double t,
   // global reference of the others), so accept a small slack.
   const double slack = 0.01;
   for (int pass = 0; pass < 50; ++pass) {
-    GroupIndex index = GroupIndex::Build(out);
-    if (CheckTCloseness(index, std::min(1.0, t + slack)).satisfied()) {
+    if (CheckTCloseness(FlatGroupIndex::Build(out), std::min(1.0, t + slack))
+            .satisfied()) {
       return out;
     }
     SmoothingPass(out, t, /*force_full=*/pass >= 25, rng);
   }
-  GroupIndex index = GroupIndex::Build(out);
-  TClosenessReport report = CheckTCloseness(index, std::min(1.0, t + slack));
+  TClosenessReport report =
+      CheckTCloseness(FlatGroupIndex::Build(out), std::min(1.0, t + slack));
   if (!report.satisfied()) {
     return Status::Internal(
         "t-closeness smoothing did not converge; worst distance " +

@@ -58,11 +58,6 @@ bool GroupIsPrivate(const PrivacyParams& params, uint64_t group_size,
   return ValueIsPrivate(params, group_size, max_frequency);
 }
 
-bool GroupIsPrivate(const PrivacyParams& params,
-                    const recpriv::table::PersonalGroup& group) {
-  return GroupIsPrivate(params, group.size(), group.MaxFrequency());
-}
-
 double BestTailBound(const PrivacyParams& params, uint64_t group_size,
                      double frequency) {
   if (frequency <= 0.0) return 1.0;

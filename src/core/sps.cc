@@ -3,14 +3,14 @@
 #include <cmath>
 
 #include "perturb/uniform_perturbation.h"
+#include "table/flat_group_index.h"
 
 namespace recpriv::core {
 
 using recpriv::perturb::PerturbCounts;
 using recpriv::perturb::PerturbValue;
 using recpriv::perturb::UniformPerturbation;
-using recpriv::table::GroupIndex;
-using recpriv::table::PersonalGroup;
+using recpriv::table::FlatGroupIndex;
 using recpriv::table::Table;
 
 std::vector<uint64_t> FrequencyPreservingSample(
@@ -102,7 +102,7 @@ Result<SpsTableResult> SpsPerturbTable(const PrivacyParams& params,
   const size_t num_attrs = input.schema()->num_attributes();
 
   // Preprocessing: sort into personal groups (one O(|D| log |D|) pass).
-  GroupIndex index = GroupIndex::Build(input);
+  const FlatGroupIndex index = FlatGroupIndex::Build(input);
 
   SpsTableResult result{Table(input.schema()), SpsStats{}};
   result.stats.num_groups = index.num_groups();
@@ -120,11 +120,12 @@ Result<SpsTableResult> SpsPerturbTable(const PrivacyParams& params,
     result.stats.records_out += copies;
   };
 
-  for (const PersonalGroup& g : index.groups()) {
-    const double s_g = MaxGroupSize(params, g.MaxFrequency());
-    if (static_cast<double>(g.size()) <= s_g) {
-      // No sampling: perturb every record in place.
-      for (size_t r : g.rows) {
+  for (size_t g = 0; g < index.num_groups(); ++g) {
+    const uint64_t size = index.group_size(g);
+    const double s_g = MaxGroupSize(params, index.MaxFrequency(g));
+    if (static_cast<double>(size) <= s_g) {
+      // No sampling: perturb every record in place, in ascending row order.
+      for (uint32_t r : index.rows(g)) {
         emit(r, PerturbValue(up, input.at(r, sa_col), rng), 1);
       }
       continue;
@@ -134,11 +135,11 @@ Result<SpsTableResult> SpsPerturbTable(const PrivacyParams& params,
     // 1. Sampling: per SA value take floor(c tau) + Bernoulli(frac) records.
     // Records within a (group, SA value) bucket are identical, so taking a
     // prefix of the bucket is "pick any".
-    const double tau = s_g / static_cast<double>(g.size());
-    std::vector<std::vector<size_t>> buckets(params.domain_m);
-    for (size_t r : g.rows) buckets[input.at(r, sa_col)].push_back(r);
+    const double tau = s_g / static_cast<double>(size);
+    std::vector<std::vector<uint32_t>> buckets(params.domain_m);
+    for (uint32_t r : index.rows(g)) buckets[input.at(r, sa_col)].push_back(r);
 
-    std::vector<size_t> sampled_rows;
+    std::vector<uint32_t> sampled_rows;
     for (const auto& bucket : buckets) {
       const double target = static_cast<double>(bucket.size()) * tau;
       uint64_t take = static_cast<uint64_t>(std::floor(target));
@@ -151,11 +152,11 @@ Result<SpsTableResult> SpsPerturbTable(const PrivacyParams& params,
 
     // 2+3. Perturb each sampled record, then scale by duplication. The
     // single fused scan the paper describes: sample -> perturb -> duplicate.
-    const double tau_prime = static_cast<double>(g.size()) /
+    const double tau_prime = static_cast<double>(size) /
                              static_cast<double>(sampled_rows.size());
     const uint64_t whole = static_cast<uint64_t>(std::floor(tau_prime));
     const double frac = tau_prime - std::floor(tau_prime);
-    for (size_t r : sampled_rows) {
+    for (uint32_t r : sampled_rows) {
       uint32_t perturbed = PerturbValue(up, input.at(r, sa_col), rng);
       uint64_t copies = whole + (rng.NextBernoulli(frac) ? 1 : 0);
       emit(r, perturbed, copies);

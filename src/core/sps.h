@@ -28,7 +28,6 @@
 #include "common/random.h"
 #include "common/result.h"
 #include "core/reconstruction_privacy.h"
-#include "table/group_index.h"
 #include "table/table.h"
 
 namespace recpriv::core {
@@ -63,7 +62,9 @@ struct SpsCountsResult {
 };
 
 /// Runs SPS on a whole table; output rows are grouped by personal group
-/// (sorted NA order), matching the paper's sort-then-scan pipeline.
+/// (sorted NA order), matching the paper's sort-then-scan pipeline. Within
+/// a group, rows are visited in ascending input row order, so a release is
+/// a function of the input table and the Rng seed alone.
 Result<SpsTableResult> SpsPerturbTable(const PrivacyParams& params,
                                        const recpriv::table::Table& input,
                                        Rng& rng);

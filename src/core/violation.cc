@@ -2,16 +2,16 @@
 
 namespace recpriv::core {
 
-ViolationReport AuditViolations(const recpriv::table::GroupIndex& index,
+ViolationReport AuditViolations(const recpriv::table::FlatGroupIndex& index,
                                 const PrivacyParams& params) {
   ViolationReport report;
   report.num_groups = index.num_groups();
   report.num_records = index.num_records();
-  for (size_t gi = 0; gi < index.groups().size(); ++gi) {
-    const auto& g = index.groups()[gi];
-    if (!GroupIsPrivate(params, g)) {
+  for (size_t gi = 0; gi < index.num_groups(); ++gi) {
+    const uint64_t size = index.group_size(gi);
+    if (!GroupIsPrivate(params, size, index.MaxFrequency(gi))) {
       ++report.violating_groups;
-      report.violating_records += g.size();
+      report.violating_records += size;
       report.violating_group_ids.push_back(gi);
     }
   }

@@ -18,7 +18,6 @@
 #include "query/evaluation.h"
 #include "stats/descriptive.h"
 #include "table/flat_group_index.h"
-#include "table/group_index.h"
 #include "table/table.h"
 
 namespace recpriv::exp {
@@ -41,11 +40,8 @@ struct PreparedDataset {
   recpriv::table::Table raw;             ///< original D
   recpriv::core::Generalization plan;    ///< chi-squared merge plan (§3.4)
   recpriv::table::Table generalized;     ///< D on generalized NA values
-  recpriv::table::GroupIndex raw_index;  ///< personal groups of raw D
-  recpriv::table::GroupIndex index;      ///< generalized personal groups
-  /// Columnar view of the generalized groups (same group ids as `index`):
-  /// the scan-bound evaluation pipeline runs on this layout.
-  recpriv::table::FlatGroupIndex flat_index;
+  recpriv::table::FlatGroupIndex raw_index;  ///< personal groups of raw D
+  recpriv::table::FlatGroupIndex index;      ///< generalized personal groups
   std::vector<recpriv::query::CountQuery> pool;  ///< mapped query pool
 };
 
@@ -63,7 +59,7 @@ struct ViolationPoint {
   double vg = 0.0;
   double vr = 0.0;
 };
-ViolationPoint MeasureViolation(const recpriv::table::GroupIndex& index,
+ViolationPoint MeasureViolation(const recpriv::table::FlatGroupIndex& index,
                                 const recpriv::core::PrivacyParams& params);
 
 /// Average relative query error over `runs` randomized releases for the UP

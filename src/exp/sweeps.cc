@@ -4,7 +4,7 @@ namespace recpriv::exp {
 
 using recpriv::core::PrivacyParams;
 using recpriv::query::CountQuery;
-using recpriv::table::GroupIndex;
+using recpriv::table::FlatGroupIndex;
 
 std::string AxisName(SweepAxis axis) {
   switch (axis) {
@@ -41,21 +41,20 @@ PrivacyParams ParamsAt(SweepAxis axis, double value, size_t m) {
   return params;
 }
 
-ViolationSweep SweepViolations(const GroupIndex& index, SweepAxis axis,
+ViolationSweep SweepViolations(const FlatGroupIndex& index, SweepAxis axis,
                                const std::vector<double>& values) {
   ViolationSweep sweep;
   sweep.axis_values = values;
   for (double v : values) {
     ViolationPoint point =
-        MeasureViolation(index, ParamsAt(axis, v,
-                                         index.schema()->sa_domain_size()));
+        MeasureViolation(index, ParamsAt(axis, v, index.sa_domain()));
     sweep.vg.push_back(point.vg);
     sweep.vr.push_back(point.vr);
   }
   return sweep;
 }
 
-Result<ErrorSweep> SweepErrors(const recpriv::table::FlatGroupIndex& index,
+Result<ErrorSweep> SweepErrors(const FlatGroupIndex& index,
                                const std::vector<CountQuery>& pool,
                                SweepAxis axis,
                                const std::vector<double>& values, size_t runs,

@@ -31,7 +31,7 @@ struct ViolationSweep {
   std::vector<double> vg;
   std::vector<double> vr;
 };
-ViolationSweep SweepViolations(const recpriv::table::GroupIndex& index,
+ViolationSweep SweepViolations(const recpriv::table::FlatGroupIndex& index,
                                SweepAxis axis,
                                const std::vector<double>& values);
 

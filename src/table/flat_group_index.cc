@@ -77,7 +77,7 @@ bool FlatGroupIndex::DeriveKeyLayout(bool want_packed) {
   packed_ = want_packed && total_bits <= 64;
   if (packed_) {
     // Attribute 0 occupies the highest bits so that numeric key order is
-    // the NA-lexicographic order of GroupIndex::Build.
+    // the NA-lexicographic group order.
     key_shifts_.assign(n_pub, 0);
     uint32_t below = total_bits;
     for (size_t k = 0; k < n_pub; ++k) {
@@ -108,7 +108,7 @@ FlatGroupIndex FlatGroupIndex::Build(const Table& t, KeyMode mode) {
   for (const uint32_t b : idx.key_bits_) total_bits += b;
 
   // Raw column pointers: the build touches each public column once to pack
-  // keys, instead of gathering per comparison like the legacy sort.
+  // keys, instead of gathering all public columns per comparison.
   std::vector<const uint32_t*> cols(n_pub);
   for (size_t k = 0; k < n_pub; ++k) {
     cols[k] = t.column(idx.public_idx_[k]).data();

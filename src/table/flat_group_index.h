@@ -1,24 +1,23 @@
-// Columnar personal-group index — the cache-friendly successor to
-// GroupIndex (paper §3.2, §5 preprocessing) for every scan-bound workload.
+// Columnar index of all personal groups of a table (paper §3.2, §5
+// preprocessing): the one sorted pass of D by NA, materialized. A
+// *personal group* D(x1,...,xn) is the set of records agreeing on every
+// public attribute; a predicate with wildcards matches a union of them,
+// and their SA histograms add up.
 //
-// GroupIndex stores one PersonalGroup struct per group, each carrying three
-// separately heap-allocated vectors; a group scan is a pointer-chasing walk.
-// FlatGroupIndex stores the same information in four contiguous columns:
+// The index stores four contiguous columns:
 //
 //   na_codes_     num_groups x num_public   NA key of each group, row-major
 //   sa_counts_    num_groups x m            SA histogram matrix, row-major
 //   row_offsets_  num_groups + 1            CSR offsets into row_values_
 //   row_values_   num_records               group members, group-major
 //
-// Build() replaces the legacy comparator sort (one multi-attribute column
-// gather per comparison) with a pack-keys-then-sort pass: when the public
-// domains fit 64 bits, each row's NA key is bit-packed into a uint64_t
-// (attribute 0 in the highest bits, so numeric order == lexicographic
-// order), the (packed_key, row) pairs are radix-sorted, and groups fall out
-// of one run-length pass. Domains too wide for 64 bits take a fallback path
-// over contiguous row-major wide keys. Either way the group order is the
-// NA-lexicographic order of GroupIndex::Build, so group ids are
-// interchangeable between the two layouts.
+// Build() is a pack-keys-then-sort pass: when the public domains fit 64
+// bits, each row's NA key is bit-packed into a uint64_t (attribute 0 in the
+// highest bits, so numeric order == lexicographic order), the (packed_key,
+// row) pairs are radix-sorted, and groups fall out of one run-length pass.
+// Domains too wide for 64 bits take a fallback path over contiguous
+// row-major wide keys. Either way groups come out in NA-lexicographic
+// order and each group's rows in ascending row id.
 //
 // FindGroup is a binary search over the sorted keys; AnswerInto fuses
 // predicate matching with the histogram-column sum so a count query needs

@@ -10,13 +10,13 @@
 #include "datagen/effective_model.h"
 #include "datagen/simple.h"
 #include "stats/chi_squared.h"
-#include "table/group_index.h"
+#include "table/flat_group_index.h"
 #include "table/predicate.h"
 
 namespace recpriv::datagen {
 namespace {
 
-using recpriv::table::GroupIndex;
+using recpriv::table::FlatGroupIndex;
 using recpriv::table::Predicate;
 using recpriv::table::Table;
 
@@ -242,7 +242,7 @@ TEST(SimpleTest, MultipleGroupsFormIndex) {
   spec.groups.push_back(GroupSpec{{"x", "1"}, 10, {1.0, 0.0}});
   spec.groups.push_back(GroupSpec{{"y", "2"}, 20, {0.0, 1.0}});
   Table t = *GenerateSimpleExact(spec);
-  GroupIndex idx = GroupIndex::Build(t);
+  FlatGroupIndex idx = FlatGroupIndex::Build(t);
   EXPECT_EQ(idx.num_groups(), 2u);
   EXPECT_EQ(idx.num_records(), 30u);
 }

@@ -1,21 +1,22 @@
-// FlatGroupIndex tests: layout invariants, the packed/wide key paths, and a
-// randomized property suite asserting the columnar index agrees with the
-// legacy GroupIndex on groups, SA histograms, MatchingGroups, FindGroup,
-// and CountAnswer across schemas — including domains too wide for the
-// packed-key fast path.
+// FlatGroupIndex tests: layout invariants, the packed/wide key paths, the
+// personal-group semantics on a small hand-built table, and a randomized
+// property suite asserting the columnar index agrees with a naive model —
+// a std::map from NA key to (row set, SA histogram) — on groups, SA
+// histograms, MatchingGroups, FindGroup, CountAnswer and AnswerInto across
+// schemas, including domains too wide for the packed-key fast path.
 
 #include "table/flat_group_index.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/random.h"
-#include "table/group_index.h"
 
 namespace recpriv::table {
 namespace {
@@ -51,46 +52,94 @@ Table RandomTable(const SchemaPtr& schema, size_t rows, Rng& rng) {
   return t;
 }
 
-/// Full agreement check between the two layouts for one table.
+/// One personal group of the naive model.
+struct NaiveGroup {
+  std::vector<uint32_t> rows;
+  std::vector<uint64_t> sa_counts;
+};
+
+/// The naive reference: NA key (public-index order) -> group, built by
+/// one pass over the rows. std::map orders keys lexicographically, so the
+/// i-th entry is the group FlatGroupIndex must number i.
+using NaiveModel = std::map<std::vector<uint32_t>, NaiveGroup>;
+
+NaiveModel BuildNaive(const Table& t) {
+  const Schema& schema = *t.schema();
+  const size_t sa_col = schema.sensitive_index();
+  NaiveModel model;
+  for (size_t r = 0; r < t.num_rows(); ++r) {
+    std::vector<uint32_t> key;
+    for (size_t attr : schema.public_indices()) key.push_back(t.at(r, attr));
+    NaiveGroup& g = model[key];
+    g.sa_counts.resize(schema.sa_domain_size(), 0);
+    g.rows.push_back(uint32_t(r));
+    ++g.sa_counts[t.at(r, sa_col)];
+  }
+  return model;
+}
+
+/// Group ids (model order) whose key satisfies every bound NA condition.
+std::vector<uint32_t> NaiveMatches(const NaiveModel& model,
+                                   const std::vector<size_t>& pub,
+                                   const Predicate& pred) {
+  std::vector<uint32_t> out;
+  uint32_t gi = 0;
+  for (const auto& [key, group] : model) {
+    bool match = true;
+    for (size_t k = 0; k < pub.size() && match; ++k) {
+      match = !pred.is_bound(pub[k]) || pred.code(pub[k]) == key[k];
+    }
+    if (match) out.push_back(gi);
+    ++gi;
+  }
+  return out;
+}
+
+/// Full agreement check between the index and the naive model of one
+/// table. Row sets are compared with their order ignored.
 void ExpectAgreement(const Table& t, FlatGroupIndex::KeyMode mode,
                      Rng& rng) {
-  const GroupIndex legacy = GroupIndex::Build(t);
+  const NaiveModel model = BuildNaive(t);
   const FlatGroupIndex flat = FlatGroupIndex::Build(t, mode);
 
-  ASSERT_EQ(flat.num_groups(), legacy.num_groups());
-  ASSERT_EQ(flat.num_records(), legacy.num_records());
-  EXPECT_DOUBLE_EQ(flat.AverageGroupSize(), legacy.AverageGroupSize());
+  ASSERT_EQ(flat.num_groups(), model.size());
+  ASSERT_EQ(flat.num_records(), t.num_rows());
+  EXPECT_DOUBLE_EQ(flat.AverageGroupSize(),
+                   model.empty() ? 0.0 : double(t.num_rows()) / model.size());
 
-  for (size_t gi = 0; gi < legacy.num_groups(); ++gi) {
-    const PersonalGroup& g = legacy.groups()[gi];
+  std::vector<const NaiveGroup*> groups;
+  size_t gi = 0;
+  for (const auto& [key, g] : model) {
+    groups.push_back(&g);
     // Same group order (NA-lexicographic), same keys, same histograms.
     ASSERT_EQ(std::vector<uint32_t>(flat.na_codes(gi).begin(),
                                     flat.na_codes(gi).end()),
-              g.na_codes)
+              key)
         << "group " << gi;
     EXPECT_EQ(std::vector<uint64_t>(flat.sa_counts(gi).begin(),
                                     flat.sa_counts(gi).end()),
               g.sa_counts);
-    EXPECT_EQ(flat.group_size(gi), g.size());
-    EXPECT_DOUBLE_EQ(flat.MaxFrequency(gi), g.MaxFrequency());
-    // Same row sets (legacy row order within a group is unspecified).
-    std::vector<uint32_t> legacy_rows(g.rows.begin(), g.rows.end());
-    std::sort(legacy_rows.begin(), legacy_rows.end());
+    EXPECT_EQ(flat.group_size(gi), g.rows.size());
+    const uint64_t max_count =
+        *std::max_element(g.sa_counts.begin(), g.sa_counts.end());
+    EXPECT_DOUBLE_EQ(flat.MaxFrequency(gi),
+                     double(max_count) / double(g.rows.size()));
+    // Same row sets.
     std::vector<uint32_t> flat_rows(flat.rows(gi).begin(),
                                     flat.rows(gi).end());
     std::sort(flat_rows.begin(), flat_rows.end());
-    EXPECT_EQ(flat_rows, legacy_rows);
+    EXPECT_EQ(flat_rows, g.rows);
 
     // FindGroup locates every group by its own key.
-    auto found = flat.FindGroup(flat.na_codes(gi));
+    auto found = flat.FindGroup(key);
     ASSERT_TRUE(found.ok());
     EXPECT_EQ(*found, gi);
+    ++gi;
   }
 
   // Random predicates (wildcards, bound values, out-of-domain codes):
-  // MatchingGroups, CountAnswer and AnswerInto must agree with the legacy
-  // linear scan.
-  const auto& pub = legacy.public_indices();
+  // MatchingGroups, CountAnswer and AnswerInto must agree with the model.
+  const auto& pub = flat.public_indices();
   const size_t n_attr = t.schema()->num_attributes();
   const size_t m = t.schema()->sa_domain_size();
   for (int trial = 0; trial < 40; ++trial) {
@@ -107,16 +156,14 @@ void ExpectAgreement(const Table& t, FlatGroupIndex::KeyMode mode,
           pred.Bind(attr, uint32_t(rng.NextUint64(dom)));
       }
     }
-    const std::vector<size_t> slow = legacy.MatchingGroups(pred);
-    const std::vector<uint32_t> fast = flat.MatchingGroups(pred);
-    ASSERT_EQ(std::vector<size_t>(fast.begin(), fast.end()), slow)
-        << pred.ToString(*t.schema());
+    const std::vector<uint32_t> slow = NaiveMatches(model, pub, pred);
+    ASSERT_EQ(flat.MatchingGroups(pred), slow) << pred.ToString(*t.schema());
 
     const uint32_t sa = uint32_t(rng.NextUint64(m));
     uint64_t slow_obs = 0, slow_size = 0;
-    for (size_t gi : slow) {
-      slow_obs += legacy.groups()[gi].sa_counts[sa];
-      slow_size += legacy.groups()[gi].size();
+    for (uint32_t g : slow) {
+      slow_obs += groups[g]->sa_counts[sa];
+      slow_size += groups[g]->rows.size();
     }
     EXPECT_EQ(flat.CountAnswer(pred, sa), slow_obs);
     uint64_t obs = 0, size = 0;
@@ -125,23 +172,23 @@ void ExpectAgreement(const Table& t, FlatGroupIndex::KeyMode mode,
     EXPECT_EQ(size, slow_size);
   }
 
-  // Missing keys are NotFound on both.
+  // Missing keys are NotFound in both; present keys agree on the id.
   for (int trial = 0; trial < 20; ++trial) {
     std::vector<uint32_t> key;
     for (size_t attr : pub) {
       key.push_back(uint32_t(
           rng.NextUint64(t.schema()->attribute(attr).domain.size() + 3)));
     }
-    const bool legacy_found = legacy.FindGroup(key).ok();
+    const auto it = model.find(key);
     const auto flat_found = flat.FindGroup(key);
-    EXPECT_EQ(flat_found.ok(), legacy_found);
-    if (legacy_found) {
-      EXPECT_EQ(*flat_found, *legacy.FindGroup(key));
+    EXPECT_EQ(flat_found.ok(), it != model.end());
+    if (it != model.end() && flat_found.ok()) {
+      EXPECT_EQ(*flat_found, size_t(std::distance(model.begin(), it)));
     }
   }
 }
 
-TEST(FlatGroupIndexTest, AgreesWithLegacyAcrossRandomSchemas) {
+TEST(FlatGroupIndexTest, AgreesWithNaiveModelAcrossRandomSchemas) {
   Rng rng(20150407);
   for (int round = 0; round < 12; ++round) {
     const size_t n_pub = 1 + rng.NextUint64(4);
@@ -172,7 +219,7 @@ TEST(FlatGroupIndexTest, AgreesWithLegacyAcrossRandomSchemas) {
 TEST(FlatGroupIndexTest, WideDomainsFallBackAndAgree) {
   // 9 public attributes x 8 bits (129-value domains) = 72 key bits: the
   // packed path cannot hold the key, Build must choose the wide layout and
-  // still agree with the legacy index.
+  // still agree with the naive model.
   Rng rng(77);
   std::vector<size_t> domains(9, 129);
   SchemaPtr schema = MakeSchema(domains, 3);
@@ -237,6 +284,175 @@ TEST(FlatGroupIndexTest, RowsAreAscendingWithinGroups) {
       EXPECT_TRUE(std::is_sorted(rows.begin(), rows.end()));
     }
   }
+}
+
+// --- personal-group semantics on a hand-built table ------------------------
+
+SchemaPtr MakeTestSchema() {
+  std::vector<Attribute> attrs;
+  attrs.push_back(
+      Attribute{"Gender", *Dictionary::FromValues({"male", "female"})});
+  attrs.push_back(Attribute{"Job", *Dictionary::FromValues({"eng", "law"})});
+  attrs.push_back(
+      Attribute{"Disease", *Dictionary::FromValues({"flu", "hiv", "bc"})});
+  return std::make_shared<Schema>(*Schema::Make(std::move(attrs), 2));
+}
+
+Table MakeTestTable() {
+  Table t(MakeTestSchema());
+  // (male, eng): flu, flu, hiv    (male, law): bc
+  // (female, eng): hiv, hiv       (female, law): flu, bc
+  const uint32_t rows[][3] = {{0, 0, 0}, {0, 0, 0}, {0, 0, 1}, {0, 1, 2},
+                              {1, 0, 1}, {1, 0, 1}, {1, 1, 0}, {1, 1, 2}};
+  for (const auto& r : rows) {
+    EXPECT_TRUE(t.AppendRow(std::vector<uint32_t>{r[0], r[1], r[2]}).ok());
+  }
+  return t;
+}
+
+using Key = std::vector<uint32_t>;
+
+TEST(FlatGroupIndexTest, BuildsAllPersonalGroups) {
+  const FlatGroupIndex idx = FlatGroupIndex::Build(MakeTestTable());
+  EXPECT_EQ(idx.num_groups(), 4u);
+  EXPECT_EQ(idx.num_records(), 8u);
+  EXPECT_DOUBLE_EQ(idx.AverageGroupSize(), 2.0);
+
+  const size_t gi = *idx.FindGroup(Key{0, 0});  // male, eng
+  EXPECT_EQ(idx.group_size(gi), 3u);
+  EXPECT_EQ(std::vector<uint64_t>(idx.sa_counts(gi).begin(),
+                                  idx.sa_counts(gi).end()),
+            (std::vector<uint64_t>{2, 1, 0}));
+  EXPECT_NEAR(idx.Frequency(gi, 0), 2.0 / 3.0, 1e-12);
+  EXPECT_NEAR(idx.MaxFrequency(gi), 2.0 / 3.0, 1e-12);
+}
+
+TEST(FlatGroupIndexTest, GroupRowsPointIntoTable) {
+  const Table t = MakeTestTable();
+  const FlatGroupIndex idx = FlatGroupIndex::Build(t);
+  for (size_t g = 0; g < idx.num_groups(); ++g) {
+    for (uint32_t r : idx.rows(g)) {
+      EXPECT_EQ(t.at(r, 0), idx.na_code(g, 0));
+      EXPECT_EQ(t.at(r, 1), idx.na_code(g, 1));
+    }
+  }
+}
+
+TEST(FlatGroupIndexTest, SaCountsSumToGroupSize) {
+  const FlatGroupIndex idx = FlatGroupIndex::Build(MakeTestTable());
+  for (size_t g = 0; g < idx.num_groups(); ++g) {
+    uint64_t total = 0;
+    for (uint64_t c : idx.sa_counts(g)) total += c;
+    EXPECT_EQ(total, idx.group_size(g));
+  }
+}
+
+TEST(FlatGroupIndexTest, MatchingGroupsHonoursWildcards) {
+  const FlatGroupIndex idx = FlatGroupIndex::Build(MakeTestTable());
+
+  Predicate all(3);
+  EXPECT_EQ(idx.MatchingGroups(all).size(), 4u);
+
+  Predicate male(3);
+  male.Bind(0, 0);
+  EXPECT_EQ(idx.MatchingGroups(male).size(), 2u);
+
+  Predicate male_law(3);
+  male_law.Bind(0, 0);
+  male_law.Bind(1, 1);
+  auto matches = idx.MatchingGroups(male_law);
+  ASSERT_EQ(matches.size(), 1u);
+  EXPECT_EQ(Key(idx.na_codes(matches[0]).begin(),
+                idx.na_codes(matches[0]).end()),
+            (Key{0, 1}));
+}
+
+TEST(FlatGroupIndexTest, FindGroupLocatesEveryGroupAndRejectsNearMisses) {
+  for (auto mode : {FlatGroupIndex::KeyMode::kAuto,
+                    FlatGroupIndex::KeyMode::kForceWide}) {
+    const FlatGroupIndex idx = FlatGroupIndex::Build(MakeTestTable(), mode);
+    for (size_t gi = 0; gi < idx.num_groups(); ++gi) {
+      auto found = idx.FindGroup(idx.na_codes(gi));
+      ASSERT_TRUE(found.ok());
+      EXPECT_EQ(*found, gi);
+    }
+    EXPECT_FALSE(idx.FindGroup(Key{0, 7}).ok());
+    EXPECT_FALSE(idx.FindGroup(Key{7, 0}).ok());
+    EXPECT_FALSE(idx.FindGroup(Key{0}).ok());        // short key
+    EXPECT_FALSE(idx.FindGroup(Key{0, 1, 0}).ok());  // long key
+  }
+}
+
+TEST(FlatGroupIndexTest, FindGroupMissing) {
+  Table t(MakeTestSchema());
+  ASSERT_TRUE(t.AppendRow(std::vector<uint32_t>{0, 0, 0}).ok());
+  const FlatGroupIndex idx = FlatGroupIndex::Build(t);
+  EXPECT_FALSE(idx.FindGroup(Key{1, 1}).ok());
+}
+
+TEST(FlatGroupIndexTest, NoIndexHoldsAnEmptyGroup) {
+  // Build never emits an empty group and FromStorage rejects one, so the
+  // frequency accessors never see a zero group size. One record in
+  // (male, law) is valid storage; adding an empty (male, eng) group in
+  // front of it is not.
+  const std::vector<uint32_t> rows{0};
+  FlatGroupIndex::Storage valid;
+  const std::vector<uint32_t> valid_na{0, 1};
+  const std::vector<uint64_t> valid_counts{1, 0, 0};
+  const std::vector<uint64_t> valid_offsets{0, 1};
+  valid.num_groups = 1;
+  valid.num_records = 1;
+  valid.na_codes = valid_na;
+  valid.sa_counts = valid_counts;
+  valid.row_offsets = valid_offsets;
+  valid.row_values = rows;
+  auto accepted = FlatGroupIndex::FromStorage(MakeTestSchema(), valid);
+  ASSERT_TRUE(accepted.ok()) << accepted.status().ToString();
+  EXPECT_DOUBLE_EQ(accepted->MaxFrequency(0), 1.0);
+
+  FlatGroupIndex::Storage empty_group = valid;
+  const std::vector<uint32_t> na{0, 0, 0, 1};
+  const std::vector<uint64_t> counts{0, 0, 0, 1, 0, 0};
+  const std::vector<uint64_t> offsets{0, 0, 1};
+  empty_group.num_groups = 2;
+  empty_group.na_codes = na;
+  empty_group.sa_counts = counts;
+  empty_group.row_offsets = offsets;
+  auto rejected = FlatGroupIndex::FromStorage(MakeTestSchema(), empty_group);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kDataLoss);
+}
+
+TEST(GroupPostingIndexTest, AgreesWithLinearScan) {
+  const FlatGroupIndex flat = FlatGroupIndex::Build(MakeTestTable());
+  const GroupPostingIndex postings(flat);
+  for (int g = -1; g < 2; ++g) {
+    for (int j = -1; j < 2; ++j) {
+      Predicate p(3);
+      if (g >= 0) p.Bind(0, uint32_t(g));
+      if (j >= 0) p.Bind(1, uint32_t(j));
+      EXPECT_EQ(postings.MatchingGroups(p), flat.MatchingGroups(p))
+          << "g=" << g << " j=" << j;
+    }
+  }
+}
+
+TEST(GroupPostingIndexTest, CountAnswerSumsHistograms) {
+  const FlatGroupIndex flat = FlatGroupIndex::Build(MakeTestTable());
+  const GroupPostingIndex postings(flat);
+  Predicate eng(3);
+  eng.Bind(1, 0);  // Job = eng
+  // eng groups: (male,eng) flu=2, (female,eng) flu=0.
+  EXPECT_EQ(postings.CountAnswer(eng, 0), 2u);
+  EXPECT_EQ(postings.CountAnswer(eng, 1), 3u);  // hiv: 1 + 2
+}
+
+TEST(GroupPostingIndexTest, OutOfDomainCodeMatchesNothing) {
+  const FlatGroupIndex flat = FlatGroupIndex::Build(MakeTestTable());
+  const GroupPostingIndex postings(flat);
+  Predicate p(3);
+  p.Bind(0, 77);  // no such code
+  EXPECT_TRUE(postings.MatchingGroups(p).empty());
 }
 
 TEST(GroupPostingIndexTest, CountAnswerMatchesFusedKernel) {

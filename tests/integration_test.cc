@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "core/generalization.h"
 #include "core/reconstruction_privacy.h"
 #include "core/sps.h"
@@ -15,14 +17,14 @@
 #include "perturb/uniform_perturbation.h"
 #include "query/evaluation.h"
 #include "query/query_pool.h"
-#include "table/group_index.h"
+#include "table/flat_group_index.h"
 
 namespace recpriv {
 namespace {
 
 using core::PrivacyParams;
 using exp::PreparedDataset;
-using table::GroupIndex;
+using table::FlatGroupIndex;
 using table::Table;
 
 TEST(IntegrationTest, AdultPipelineEndToEnd) {
@@ -54,11 +56,12 @@ TEST(IntegrationTest, SpsOutputsSampledWithinCapEverywhere) {
   Rng rng(3);
   // Count-level run over every generalized personal group: each sampled
   // group's trial count must respect Eq. (10) — Theorem 4's premise.
-  for (const auto& g : ds->index.groups()) {
-    auto r = core::SpsPerturbGroupCounts(params, g.sa_counts, rng);
+  for (size_t g = 0; g < ds->index.num_groups(); ++g) {
+    auto r = core::SpsPerturbGroupCounts(params, ds->index.sa_counts(g), rng);
     ASSERT_TRUE(r.ok());
     if (r->sampled) {
-      const double s_g = core::MaxGroupSize(params, g.MaxFrequency());
+      const double s_g =
+          core::MaxGroupSize(params, ds->index.MaxFrequency(g));
       EXPECT_LE(double(r->sample_size), s_g + double(params.domain_m));
     }
   }
@@ -79,7 +82,7 @@ TEST(IntegrationTest, AggregateReconstructionStaysAccurate) {
   double sum = 0.0;
   const int runs = 30;
   for (int i = 0; i < runs; ++i) {
-    auto sps = *query::SpsAllGroups(ds->flat_index, params, rng);
+    auto sps = *query::SpsAllGroups(ds->index, params, rng);
     uint64_t o1 = 0, total = 0;
     for (size_t gi = 0; gi < sps.observed.size(); ++gi) {
       o1 += sps.observed[gi][1];
@@ -99,28 +102,32 @@ TEST(IntegrationTest, PersonalReconstructionDegradedBySps) {
   PrivacyParams params = exp::DefaultParams(2);
   const perturb::UniformPerturbation up{params.retention_p, params.domain_m};
 
-  const table::PersonalGroup* target = nullptr;
-  for (const auto& g : ds->index.groups()) {
-    if (!core::GroupIsPrivate(params, g)) {
-      if (target == nullptr || g.size() > target->size()) target = &g;
+  const FlatGroupIndex& idx = ds->index;
+  std::optional<size_t> target;
+  for (size_t g = 0; g < idx.num_groups(); ++g) {
+    if (!core::GroupIsPrivate(params, idx.group_size(g),
+                              idx.MaxFrequency(g))) {
+      if (!target || idx.group_size(g) > idx.group_size(*target)) target = g;
     }
   }
-  ASSERT_NE(target, nullptr) << "no violating group found";
-  const double f = target->MaxFrequency();
+  ASSERT_TRUE(target.has_value()) << "no violating group found";
+  const auto target_counts = idx.sa_counts(*target);
+  const uint64_t target_size = idx.group_size(*target);
+  const double f = idx.MaxFrequency(*target);
   size_t sa = 0;
-  for (size_t i = 0; i < target->sa_counts.size(); ++i) {
-    if (target->Frequency(i) == f) sa = i;
+  for (size_t i = 0; i < target_counts.size(); ++i) {
+    if (idx.Frequency(*target, i) == f) sa = i;
   }
 
   Rng rng(13);
   const int runs = 200;
   double up_sq = 0.0, sps_sq = 0.0;
   for (int i = 0; i < runs; ++i) {
-    auto up_obs = *perturb::PerturbCounts(up, target->sa_counts, rng);
-    double up_est = perturb::MleFrequency(up, up_obs[sa], target->size());
+    auto up_obs = *perturb::PerturbCounts(up, target_counts, rng);
+    double up_est = perturb::MleFrequency(up, up_obs[sa], target_size);
     up_sq += (up_est - f) * (up_est - f);
 
-    auto sps_r = *core::SpsPerturbGroupCounts(params, target->sa_counts, rng);
+    auto sps_r = *core::SpsPerturbGroupCounts(params, target_counts, rng);
     uint64_t total = 0;
     for (uint64_t c : sps_r.observed) total += c;
     ASSERT_GT(total, 0u);
@@ -141,7 +148,7 @@ TEST(IntegrationTest, CensusPipelineSmall) {
 
   PrivacyParams params = exp::DefaultParams(50);
   Rng rng(5);
-  auto point = exp::MeasureRelativeError(ds->flat_index, ds->pool, params, 3, rng);
+  auto point = exp::MeasureRelativeError(ds->index, ds->pool, params, 3, rng);
   ASSERT_TRUE(point.ok());
   // UP is accurate; SPS stays close (the paper's CENSUS utility claim).
   EXPECT_LT(point->up.mean, 0.5);
@@ -160,29 +167,29 @@ TEST(IntegrationTest, RecordAndCountEvaluationsAgree) {
   // its observed histograms keyed by the same NA codes.
   Rng rng_rec(21);
   auto sps_table = *core::SpsPerturbTable(params, ds->generalized, rng_rec);
-  GroupIndex out_idx = GroupIndex::Build(sps_table.table);
+  FlatGroupIndex out_idx = FlatGroupIndex::Build(sps_table.table);
   query::PerturbedGroups from_records;
   from_records.observed.resize(ds->index.num_groups());
   from_records.sizes.resize(ds->index.num_groups(), 0);
   for (size_t gi = 0; gi < ds->index.num_groups(); ++gi) {
     from_records.observed[gi].assign(params.domain_m, 0);
-    auto found = out_idx.FindGroup(ds->index.groups()[gi].na_codes);
+    auto found = out_idx.FindGroup(ds->index.na_codes(gi));
     if (found.ok()) {
-      const auto& g = out_idx.groups()[*found];
-      from_records.observed[gi] = g.sa_counts;
-      from_records.sizes[gi] = g.size();
+      const auto counts = out_idx.sa_counts(*found);
+      from_records.observed[gi].assign(counts.begin(), counts.end());
+      from_records.sizes[gi] = out_idx.group_size(*found);
     }
   }
   auto rec_result =
-      query::EvaluateRelativeError(ds->pool, ds->flat_index, from_records, p);
+      query::EvaluateRelativeError(ds->pool, ds->index, from_records, p);
 
   // Count path, averaged over a few runs to smooth run-to-run noise.
   Rng rng_cnt(22);
   double count_err = 0.0;
   const int runs = 5;
   for (int i = 0; i < runs; ++i) {
-    auto sps_counts = *query::SpsAllGroups(ds->flat_index, params, rng_cnt);
-    count_err += query::EvaluateRelativeError(ds->pool, ds->flat_index,
+    auto sps_counts = *query::SpsAllGroups(ds->index, params, rng_cnt);
+    count_err += query::EvaluateRelativeError(ds->pool, ds->index,
                                               sps_counts, p)
                      .mean_relative_error;
   }

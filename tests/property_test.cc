@@ -25,7 +25,7 @@
 #include "perturb/uniform_perturbation.h"
 #include "stats/chi_squared.h"
 #include "stats/descriptive.h"
-#include "table/group_index.h"
+#include "table/flat_group_index.h"
 
 namespace recpriv {
 namespace {
@@ -33,7 +33,6 @@ namespace {
 using core::PrivacyParams;
 using datagen::GroupSpec;
 using datagen::SimpleDatasetSpec;
-using table::GroupIndex;
 using table::Table;
 
 PrivacyParams Params(double p, size_t m) {

@@ -8,6 +8,9 @@
 
 #include <cmath>
 
+#include "datagen/simple.h"
+#include "table/flat_group_index.h"
+
 namespace recpriv::core {
 namespace {
 
@@ -124,13 +127,23 @@ TEST(CorollaryFourTest, ConsistentWithBestTailBound) {
 }
 
 TEST(GroupIsPrivateTest, UsesMaxFrequency) {
-  recpriv::table::PersonalGroup g;
-  g.rows.resize(1000);
-  g.sa_counts = {800, 200};
+  // One personal group of 1000 records with SA counts {800, 200}.
+  recpriv::datagen::SimpleDatasetSpec spec;
+  spec.public_attributes = {"Job"};
+  spec.sensitive_attribute = "Disease";
+  spec.sa_domain = {"flu", "hiv"};
+  spec.groups.push_back({{"eng"}, 1000, {0.8, 0.2}});
+  const auto idx = recpriv::table::FlatGroupIndex::Build(
+      *recpriv::datagen::GenerateSimpleExact(spec));
+  ASSERT_EQ(idx.num_groups(), 1u);
+  ASSERT_EQ(idx.group_size(0), 1000u);
+  EXPECT_DOUBLE_EQ(idx.MaxFrequency(0), 0.8);
   auto params = Params(0.3, 0.3, 0.5, 2);
-  EXPECT_EQ(GroupIsPrivate(params, g),
+  EXPECT_EQ(GroupIsPrivate(params, idx.group_size(0), idx.MaxFrequency(0)),
             GroupIsPrivate(params, 1000, 0.8));
-  EXPECT_FALSE(GroupIsPrivate(params, g));  // 1000 > s_g(0.8) ~ 90
+  // 1000 > s_g(0.8) ~ 90
+  EXPECT_FALSE(
+      GroupIsPrivate(params, idx.group_size(0), idx.MaxFrequency(0)));
 }
 
 TEST(BestTailBoundTest, OneForZeroFrequency) {

@@ -11,6 +11,8 @@
 #include <memory>
 
 #include "perturb/mle.h"
+#include "perturb/uniform_perturbation.h"
+#include "table/flat_group_index.h"
 #include "table/schema.h"
 
 namespace recpriv::core {
@@ -19,7 +21,7 @@ namespace {
 using recpriv::perturb::UniformPerturbation;
 using recpriv::table::Attribute;
 using recpriv::table::Dictionary;
-using recpriv::table::GroupIndex;
+using recpriv::table::FlatGroupIndex;
 using recpriv::table::Schema;
 using recpriv::table::SchemaPtr;
 using recpriv::table::Table;
@@ -201,10 +203,43 @@ TEST(SpsTableTest, NaColumnsNeverChange) {
   Rng rng(31);
   auto r = *SpsPerturbTable(params, input, rng);
   // Per-group output sizes ~ input sizes; NA codes only from {0,1}.
-  GroupIndex out_idx = GroupIndex::Build(r.table);
+  FlatGroupIndex out_idx = FlatGroupIndex::Build(r.table);
   EXPECT_EQ(out_idx.num_groups(), 2u);
-  for (const auto& g : out_idx.groups()) {
-    EXPECT_LT(g.na_codes[0], 2u);
+  for (size_t g = 0; g < out_idx.num_groups(); ++g) {
+    EXPECT_LT(out_idx.na_code(g, 0), 2u);
+  }
+}
+
+TEST(SpsTableTest, UnsampledGroupsPerturbRowsInAscendingRowOrder) {
+  // Two personal groups of 48 rows each, interleaved row by row, with the
+  // SA values interleaved inside each group. Both are far below s_g
+  // (~140 at f = 2/3), so SPS samples neither and the release is one
+  // PerturbValue draw per input row. The draw order is pinned: groups in
+  // NA order, rows within a group in ascending input order — so a seeded
+  // release depends on the input and the seed, not on how a sort happens
+  // to order rows with equal keys.
+  auto params = Params(0.3, 0.3, 0.5, 2);
+  Table input(TwoGroupSchema());
+  for (uint32_t i = 0; i < 96; ++i) {
+    const uint32_t sa = (i / 2) % 3 == 0 ? 1u : 0u;
+    ASSERT_TRUE(input.AppendRow(std::vector<uint32_t>{i % 2, sa}).ok());
+  }
+  Rng rng(2015);
+  auto r = SpsPerturbTable(params, input, rng);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->stats.groups_sampled, 0u);
+  ASSERT_EQ(r->table.num_rows(), input.num_rows());
+
+  const UniformPerturbation up{params.retention_p, params.domain_m};
+  Rng replay(2015);
+  size_t out = 0;
+  for (uint32_t group : {0u, 1u}) {
+    for (size_t row = group; row < input.num_rows(); row += 2, ++out) {
+      const uint32_t expected =
+          recpriv::perturb::PerturbValue(up, input.at(row, 1), replay);
+      EXPECT_EQ(r->table.at(out, 0), group) << "output row " << out;
+      EXPECT_EQ(r->table.at(out, 1), expected) << "output row " << out;
+    }
   }
 }
 

@@ -8,7 +8,7 @@
 
 #include "perturb/mle.h"
 #include "perturb/uniform_perturbation.h"
-#include "table/group_index.h"
+#include "table/flat_group_index.h"
 
 namespace recpriv::core {
 namespace {
